@@ -6,185 +6,4 @@ factor RK4 dynamics, a numerical verification harness for the analytical
 identities the monitoring rests on, and file formats plus a command line.
 """
 
-from .grid import Grid, make_grid, set_fft_workers, fft_workers
-from .field import (
-    SpectralField,
-    WaveMultiplier,
-    derivative_multiplier,
-    laplacian_multiplier,
-    plane_laplacian_multiplier,
-    fractional_laplacian_multiplier,
-    apply_multiplier,
-    partial_derivative,
-    gradient,
-    divergence,
-    leray_project,
-    rescale_field,
-    synth_random_field,
-    synth_random_divfree,
-    field_from_function,
-)
-from .norms import (
-    lp_norm,
-    l2_norm,
-    l2_inner,
-    energy,
-    sobolev_seminorm,
-    wxyz,
-    WXYZ,
-    NormSeries,
-    accumulate,
-    EnergyLedger,
-    energy_ledger_update,
-)
-from .criteria import (
-    Theorem,
-    monitored_components,
-    admissible,
-    CriterionSpec,
-    monitored_field,
-    MonitorStatus,
-    monitor_update,
-    bootstrap_trigger,
-    gronwall_rhs,
-    SMALLNESS_ENDPOINTS,
-)
-from .dynamics import (
-    MhdState,
-    SimConfig,
-    InitialCondition,
-    SimResult,
-    DivergedError,
-    pressure_solve,
-    mhd_rhs,
-    step_ifrk4,
-    simulate,
-    compute_record,
-    initial_state,
-    taylor_green_state,
-    single_mode_state,
-    advective_dt_bound,
-    dissipation_rate,
-    accumulator_columns,
-)
-from .verify import (
-    VerificationReport,
-    check_elementary,
-    check_troisi,
-    check_commutator,
-    check_prop31,
-    check_nonlinear_split,
-    check_dissipative_identity,
-    check_scaling,
-    check_lp_pressure_balance,
-    collect_lp_balance,
-    run_suite,
-    suite_passed,
-    SUITES,
-)
-from .io import (
-    Snapshot,
-    SnapshotFormatError,
-    ConfigError,
-    write_state_snapshot,
-    write_scalar_snapshot,
-    read_snapshot,
-    read_state_snapshot,
-    state_filename,
-    list_state_snapshots,
-    write_series_csv,
-    read_series_csv,
-    load_config,
-    save_config,
-    write_manifest,
-    read_manifest,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Grid",
-    "make_grid",
-    "set_fft_workers",
-    "fft_workers",
-    "SpectralField",
-    "WaveMultiplier",
-    "derivative_multiplier",
-    "laplacian_multiplier",
-    "plane_laplacian_multiplier",
-    "fractional_laplacian_multiplier",
-    "apply_multiplier",
-    "partial_derivative",
-    "gradient",
-    "divergence",
-    "leray_project",
-    "rescale_field",
-    "synth_random_field",
-    "synth_random_divfree",
-    "field_from_function",
-    "lp_norm",
-    "l2_norm",
-    "l2_inner",
-    "energy",
-    "sobolev_seminorm",
-    "wxyz",
-    "WXYZ",
-    "NormSeries",
-    "accumulate",
-    "EnergyLedger",
-    "energy_ledger_update",
-    "Theorem",
-    "monitored_components",
-    "admissible",
-    "CriterionSpec",
-    "monitored_field",
-    "MonitorStatus",
-    "monitor_update",
-    "bootstrap_trigger",
-    "gronwall_rhs",
-    "SMALLNESS_ENDPOINTS",
-    "MhdState",
-    "SimConfig",
-    "InitialCondition",
-    "SimResult",
-    "DivergedError",
-    "pressure_solve",
-    "mhd_rhs",
-    "step_ifrk4",
-    "simulate",
-    "compute_record",
-    "initial_state",
-    "taylor_green_state",
-    "single_mode_state",
-    "advective_dt_bound",
-    "dissipation_rate",
-    "accumulator_columns",
-    "VerificationReport",
-    "check_elementary",
-    "check_troisi",
-    "check_commutator",
-    "check_prop31",
-    "check_nonlinear_split",
-    "check_dissipative_identity",
-    "check_scaling",
-    "check_lp_pressure_balance",
-    "collect_lp_balance",
-    "run_suite",
-    "suite_passed",
-    "SUITES",
-    "Snapshot",
-    "SnapshotFormatError",
-    "ConfigError",
-    "write_state_snapshot",
-    "write_scalar_snapshot",
-    "read_snapshot",
-    "read_state_snapshot",
-    "state_filename",
-    "list_state_snapshots",
-    "write_series_csv",
-    "read_series_csv",
-    "load_config",
-    "save_config",
-    "write_manifest",
-    "read_manifest",
-]

@@ -1,8 +1,10 @@
 """Command-line front end: simulate, verify, monitor.
 
 Exit codes are part of the contract: 0 success, 2 configuration error,
-3 diverged run, 4 I/O error, 5 verification failure.  argparse usage
-errors also exit 2, which is the configuration-error code on purpose.
+3 diverged run, 4 I/O error (including a malformed snapshot, or two
+snapshots in one directory that hold the same time), 5 verification
+failure.  argparse usage errors also exit 2, which is the
+configuration-error code on purpose.
 """
 
 from __future__ import annotations
@@ -13,17 +15,10 @@ import sys
 import time
 from pathlib import Path
 
-from .criteria import MonitorStatus, bootstrap_trigger
-from .dynamics import (
-    MhdState,
-    _advance_accumulators,
-    accumulator_columns,
-    compute_record,
-    dissipation_rate,
-    simulate,
-)
+from .criteria import bootstrap_trigger
+from .dynamics import MhdState, Recorder, dissipation_rate, simulate
 from .grid import set_fft_workers
-from .norms import EnergyLedger, NormSeries, energy, energy_ledger_update
+from .norms import EnergyLedger, energy, energy_ledger_update
 from . import io as tio
 from .verify import SUITES, run_suite, suite_passed
 
@@ -138,15 +133,8 @@ def cmd_monitor(args) -> int:
     if not snaps:
         raise tio.ConfigError(f"{indir}: no state snapshots to monitor")
 
-    series = NormSeries()
-    statuses = [MonitorStatus.for_spec(s) for s in spec_cfg.criteria]
-    acc_cols = accumulator_columns(spec_cfg)
-    history: dict[str, list[float]] = {"dissipation_integral": [], "defect": []}
-    for key, _tag, _r in acc_cols:
-        history[key] = []
+    recorder = Recorder(spec_cfg)
     ledger: EnergyLedger | None = None
-    last_t: float | None = None
-
     for t, path in snaps:
         state = _load_state(path)
         g = state.grid
@@ -155,25 +143,17 @@ def cmd_monitor(args) -> int:
                 f"{path}: snapshot grid {g.dim}x{g.modes_per_axis} does not match "
                 f"the spec's {spec_cfg.dim}x{spec_cfg.modes_per_axis}"
             )
-        row, _pi = compute_record(state.u, state.b, spec_cfg)
-        series.record(t, row)
-        dt_rec = (t - last_t) if last_t is not None else 0.0
-        _advance_accumulators(series, statuses, spec_cfg, dt_rec)
-        last_t = t
         e = energy(state.u, state.b if state.has_b else None)
         if ledger is None:
             ledger = EnergyLedger(e)
-        energy_ledger_update(ledger, e, dissipation_rate(state), dt_rec)
-        history["dissipation_integral"].append(ledger.dissipation_integral)
-        history["defect"].append(ledger.defect)
-        for key, _tag, _r in acc_cols:
-            history[key].append(series.accumulators[key])
+        energy_ledger_update(ledger, e, dissipation_rate(state), recorder.dt_to(t))
+        recorder.record(t, state, ledger)
 
     replay_csv = indir / "replay.csv"
-    tio.write_series_csv(replay_csv, spec_cfg, series, history)
+    tio.write_series_csv(replay_csv, spec_cfg, recorder.series, recorder.history)
     print(f"replayed {len(snaps)} snapshots from {indir}")
     print(f"defect: {ledger.defect!r}")
-    for st in statuses:
+    for st in recorder.statuses:
         finite = "finite" if st.finite else "DIVERGENT"
         vals = "  ".join(
             f"{st.spec.accumulator_key(c)}={st.accumulators[c]!r}"
@@ -181,7 +161,7 @@ def cmd_monitor(args) -> int:
         )
         print(f"criterion {st.spec.label}: accumulators {finite}  {vals}")
     if spec_cfg.monitor_bootstrap:
-        print(f"bootstrap_trigger: {bootstrap_trigger(series)!r}")
+        print(f"bootstrap_trigger: {bootstrap_trigger(recorder.series)!r}")
     print(f"wrote {replay_csv}")
     return EXIT_OK
 

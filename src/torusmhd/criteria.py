@@ -62,6 +62,9 @@ SMALLNESS_ENDPOINTS = {
 }
 
 _PRESSURE_TAGS = frozenset({"dpi3", "dpi4", "grad_pi"})
+_CLASSICAL = frozenset(
+    {Theorem.CLASSICAL_U, Theorem.CLASSICAL_GRADU, Theorem.CLASSICAL_GRADPI}
+)
 
 
 def monitored_components(theorem: Theorem) -> tuple[str, ...]:
@@ -150,16 +153,25 @@ class CriterionSpec:
                 f"{self.theorem.value} monitors {list(comps)}, got pairs for "
                 f"{sorted(given)}"
             )
-        ordered = []
-        for c in comps:
-            p, r = given[c]
-            if not admissible(self.theorem, p, r):
+        ordered = tuple((c, (float(given[c][0]), float(given[c][1]))) for c in comps)
+        object.__setattr__(self, "pairs", ordered)
+        # the classical regions depend on the dimension, which only the run
+        # configuration knows; it checks those pairs
+        if not self.classical:
+            self.check_admissible(4)
+
+    @property
+    def classical(self) -> bool:
+        return self.theorem in _CLASSICAL
+
+    def check_admissible(self, dim: int) -> None:
+        """Raise unless every pair lies in the theorem's region in ``dim``."""
+        for c, (p, r) in self.pairs:
+            if not admissible(self.theorem, p, r, dim):
                 raise ValueError(
-                    f"pair (p={p}, r={r}) for '{c}' is outside the "
-                    f"{self.theorem.value} admissible region"
+                    f"pair (p={p:g}, r={r:g}) for '{c}' is outside the "
+                    f"{self.label} admissible region in dim {dim}"
                 )
-            ordered.append((c, (float(p), float(r))))
-        object.__setattr__(self, "pairs", tuple(ordered))
 
     @property
     def label(self) -> str:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .criteria import CriterionSpec, MonitorStatus, BOOTSTRAP_TAGS, monitor_update, monitored_field
-from .field import SpectralField, gradient, leray_project, _leray_raw
+from .field import SpectralField, check_divfree, gradient, _leray_raw
 from .grid import Grid, make_grid
 from .norms import EnergyLedger, NormSeries, accumulate, energy, lp_norm, wxyz
 
@@ -32,6 +32,7 @@ __all__ = [
     "SimConfig",
     "InitialCondition",
     "SimResult",
+    "Recorder",
     "DivergedError",
     "pressure_solve",
     "mhd_rhs",
@@ -43,8 +44,6 @@ __all__ = [
     "single_mode_state",
     "advective_dt_bound",
 ]
-
-_DIV_TOL = 1e-10
 
 
 class DivergedError(RuntimeError):
@@ -74,7 +73,7 @@ class MhdState:
                 raise ValueError(f"{name} needs {g.dim} components, has {f.components}")
             if not np.all(np.isfinite(f.coeffs)):
                 raise ValueError(f"{name} has non-finite coefficients")
-            _check_divfree(g, f.coeffs, name)
+            check_divfree(f, name)
         if self.nu < 0 or self.eta < 0:
             raise ValueError("diffusivities must be non-negative")
 
@@ -85,18 +84,6 @@ class MhdState:
     @property
     def has_b(self) -> bool:
         return bool(np.any(self.b.coeffs))
-
-
-def _check_divfree(g: Grid, coeffs: np.ndarray, name: str) -> None:
-    div = sum(g.wave_axes[a] * coeffs[a] for a in range(g.dim))
-    scale = float(np.abs(coeffs).max())
-    kmax = 2 * np.pi * g.band_limit / g.side_length
-    bound = _DIV_TOL * max(kmax * scale, 1e-30)
-    worst = float(np.abs(div).max())
-    if worst > bound:
-        raise ValueError(
-            f"{name} is not divergence-free (defect {worst:.3e}, bound {bound:.3e})"
-        )
 
 
 # -- nonlinear terms ----------------------------------------------------------
@@ -488,6 +475,9 @@ class SimConfig:
                             f"criterion {s.label} monitors '{comp}', which needs "
                             f"the two-component split of dim 4 (dim is {self.dim})"
                         )
+        for s in self.criteria:
+            if s.classical:
+                s.check_admissible(self.dim)
         # the two-axis split only exists in dim 4; lower dims keep the default
         if self.dim == 4:
             fa = self.free_axes
@@ -606,19 +596,6 @@ def compute_record(
     return row, pi
 
 
-def _advance_accumulators(
-    series: NormSeries,
-    statuses: list[MonitorStatus],
-    config: SimConfig,
-    dt_rec: float,
-) -> None:
-    if config.monitor_bootstrap:
-        for tag in BOOTSTRAP_TAGS:
-            accumulate(series, tag, 2.0, dt_rec, key=f"acc_bootstrap_{tag}")
-    for status in statuses:
-        monitor_update(status, series, dt_rec)
-
-
 def accumulator_columns(config: SimConfig) -> tuple[tuple[str, str, float], ...]:
     """(accumulator key, source tag, exponent r) in canonical column order."""
     cols: list[tuple[str, str, float]] = []
@@ -629,6 +606,55 @@ def accumulator_columns(config: SimConfig) -> tuple[tuple[str, str, float], ...]
         for tag in BOOTSTRAP_TAGS:
             cols.append((f"acc_bootstrap_{tag}", tag, 2.0))
     return tuple(cols)
+
+
+class Recorder:
+    """The record, accumulate and history loop of a live run and of a replay.
+
+    Owns the series, the criterion statuses, the per-record history (the
+    ledger's dissipation integral and defect, then every accumulator column)
+    and the last record time.  The ledger stays with the caller, since a live
+    run and a replay advance it differently; :meth:`record` only reads it.
+    """
+
+    def __init__(self, config: SimConfig):
+        self.config = config
+        self.series = NormSeries()
+        self.statuses = [MonitorStatus.for_spec(s) for s in config.criteria]
+        self.columns = tuple(key for key, _tag, _r in accumulator_columns(config))
+        self.history: dict[str, list[float]] = {
+            key: [] for key in ("dissipation_integral", "defect") + self.columns
+        }
+        self.last_time: float | None = None
+
+    def dt_to(self, t: float) -> float:
+        """Width of the record interval ending at t (0 for the first record)."""
+        return t - self.last_time if self.last_time is not None else 0.0
+
+    def record(
+        self, t: float, state: MhdState, ledger: EnergyLedger
+    ) -> SpectralField | None:
+        """Record the state at time t, advance the accumulators, return the pressure."""
+        # a run heading for divergence can overflow |u|^p here; inf is the
+        # honest record for that, no warning needed
+        with np.errstate(over="ignore"):
+            row, pi = compute_record(state.u, state.b, self.config)
+        self.series.record(t, row)
+        # dt 0 at the first record seeds the sup accumulators with the
+        # initial value; integral accumulators start moving from the
+        # second record
+        dt_rec = self.dt_to(t)
+        if self.config.monitor_bootstrap:
+            for tag in BOOTSTRAP_TAGS:
+                accumulate(self.series, tag, 2.0, dt_rec, key=f"acc_bootstrap_{tag}")
+        for status in self.statuses:
+            monitor_update(status, self.series, dt_rec)
+        self.last_time = t
+        self.history["dissipation_integral"].append(ledger.dissipation_integral)
+        self.history["defect"].append(ledger.defect)
+        for key in self.columns:
+            self.history[key].append(self.series.accumulators[key])
+        return pi
 
 
 @dataclass
@@ -663,38 +689,16 @@ def simulate(
     if initial is not None and initial.grid != grid:
         raise ValueError("initial state grid does not match the configuration")
     state = initial if initial is not None else initial_state(config, grid)
-    series = NormSeries()
-    statuses = [MonitorStatus.for_spec(s) for s in config.criteria]
-    e0 = energy(state.u, state.b if state.has_b else None)
-    ledger = EnergyLedger(e0)
-    acc_cols = accumulator_columns(config)
-    history: dict[str, list[float]] = {"dissipation_integral": [], "defect": []}
-    for key, _tag, _r in acc_cols:
-        history[key] = []
+    ledger = EnergyLedger(energy(state.u, state.b if state.has_b else None))
+    recorder = Recorder(config)
     states: list[tuple[float, MhdState, SpectralField | None]] = []
     n_steps = config.n_steps
     status = "completed"
-    last_rec_t = None
 
     for n in range(n_steps + 1):
         t = n * config.dt
-        at_record = n % config.record_every == 0 or n == n_steps
-        if at_record:
-            # a run heading for divergence can overflow |u|^p here; inf is the
-            # honest record for that, no warning needed
-            with np.errstate(over="ignore"):
-                row, pi = compute_record(state.u, state.b, config)
-            series.record(t, row)
-            # dt 0 at the first record seeds the sup accumulators with the
-            # initial value; integral accumulators start moving from the
-            # second record
-            dt_rec = (t - last_rec_t) if last_rec_t is not None else 0.0
-            _advance_accumulators(series, statuses, config, dt_rec)
-            last_rec_t = t
-            history["dissipation_integral"].append(ledger.dissipation_integral)
-            history["defect"].append(ledger.defect)
-            for key, _tag, _r in acc_cols:
-                history[key].append(series.accumulators[key])
+        if n % config.record_every == 0 or n == n_steps:
+            pi = recorder.record(t, state, ledger)
             at_snapshot = config.snapshot_every and (
                 n % config.snapshot_every == 0 or n == n_steps
             )
@@ -716,7 +720,7 @@ def simulate(
         state = replace(state, time=(n + 1) * config.dt)
         ledger.advance(energy(state.u, state.b if state.has_b else None), dinc)
 
-    for st in statuses:
+    for st in recorder.statuses:
         st.verdict = "diverged" if status == "diverged" else "accumulators_finite"
         if status != "diverged" and not st.finite:
             st.verdict = "accumulator_divergent"
@@ -724,10 +728,10 @@ def simulate(
         status,
         config,
         grid,
-        series,
+        recorder.series,
         ledger,
-        history,
-        statuses,
+        recorder.history,
+        recorder.statuses,
         state,
         states,
     )

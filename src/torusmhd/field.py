@@ -17,9 +17,8 @@ from .grid import Grid, make_grid
 
 __all__ = [
     "SpectralField",
-    "WaveMultiplier",
     "make_grid",
-    "apply_multiplier",
+    "check_divfree",
     "leray_project",
     "rescale_field",
     "synth_random_divfree",
@@ -27,14 +26,11 @@ __all__ = [
     "divergence",
     "gradient",
     "partial_derivative",
-    "derivative_multiplier",
-    "laplacian_multiplier",
-    "plane_laplacian_multiplier",
-    "fractional_laplacian_multiplier",
     "field_from_function",
 ]
 
 _HERMITIAN_TOL = 1e-12
+_DIVFREE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -128,77 +124,8 @@ class SpectralField:
             raise ValueError("fields live on different grids or component counts")
 
 
-@dataclass(frozen=True)
-class WaveMultiplier:
-    """A Fourier multiplier: a scalar symbol evaluated on the wavevector lattice.
-
-    ``symbol(grid)`` returns an array broadcastable against coefficient
-    arrays.  Symbols must be finite everywhere; singular symbols are defined
-    to vanish at the mean mode.
-    """
-
-    description: str
-    symbol: Callable[[Grid], np.ndarray]
-
-    def symbol_array(self, grid: Grid) -> np.ndarray:
-        sym = np.asarray(self.symbol(grid), dtype=complex)
-        sym = np.broadcast_to(sym, grid.shape)
-        if not np.all(np.isfinite(sym)):
-            raise ValueError(f"multiplier '{self.description}' has non-finite symbol")
-        return sym
-
-
-def derivative_multiplier(axis: int) -> WaveMultiplier:
-    return WaveMultiplier(
-        f"d/dx{axis + 1}", lambda g: 1j * g.wave_axes[axis]
-    )
-
-
-def laplacian_multiplier() -> WaveMultiplier:
-    return WaveMultiplier("laplacian", lambda g: -g.k_squared)
-
-
-def plane_laplacian_multiplier(axes: tuple[int, ...]) -> WaveMultiplier:
-    """Laplacian restricted to a subset of axes (0-based)."""
-    ax = tuple(axes)
-    return WaveMultiplier(
-        f"laplacian_axes{ax}",
-        lambda g: -sum(g.wave_axes[a] ** 2 for a in ax),
-    )
-
-
-def fractional_laplacian_multiplier(s: float) -> WaveMultiplier:
-    """|kappa|^s, with the singular/vanishing symbol set to 0 at the mean mode."""
-
-    def sym(g: Grid) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            out = np.where(g.k_squared > 0, g.k_squared_safe ** (s / 2.0), 0.0)
-        return out
-
-    return WaveMultiplier(f"lambda^{s}", sym)
-
-
-def apply_multiplier(field: SpectralField, mult: WaveMultiplier) -> SpectralField:
-    """Apply a Fourier multiplier, rejecting symbols that would break reality.
-
-    A real output requires the symbol to satisfy sym(-k) = conj(sym(k)).
-    """
-    g = field.grid
-    sym = mult.symbol_array(g)
-    scale = np.abs(sym).max() or 1.0
-    # only banded modes carry content; the self-paired Nyquist row would
-    # falsely flag every odd symbol
-    defect = np.abs((g.conj_reversed(sym) - sym) * g.band_mask).max()
-    if defect > 1e-13 * scale:
-        raise ValueError(
-            f"multiplier '{mult.description}' breaks Hermitian symmetry "
-            f"(defect {defect:.3e})"
-        )
-    return SpectralField(g, field.coeffs * sym[None])
-
-
 def partial_derivative(field: SpectralField, axis: int) -> SpectralField:
-    return apply_multiplier(field, derivative_multiplier(axis))
+    return SpectralField(field.grid, field.coeffs * (1j * field.grid.wave_axes[axis]))
 
 
 def gradient(field: SpectralField) -> SpectralField:
@@ -222,6 +149,20 @@ def leray_project(field: SpectralField) -> SpectralField:
     if field.components != g.dim:
         raise ValueError("leray projection needs one component per axis")
     return SpectralField(g, _leray_raw(g, field.coeffs))
+
+
+def check_divfree(field: SpectralField, name: str) -> None:
+    """Raise unless the divergence vanishes to rounding, relative to kmax * max|c|."""
+    g = field.grid
+    div = sum(g.wave_axes[a] * field.coeffs[a] for a in range(g.dim))
+    scale = float(np.abs(field.coeffs).max())
+    kmax = 2 * np.pi * g.band_limit / g.side_length
+    bound = _DIVFREE_TOL * max(kmax * scale, 1e-30)
+    worst = float(np.abs(div).max())
+    if worst > bound:
+        raise ValueError(
+            f"{name} is not divergence-free (defect {worst:.3e}, bound {bound:.3e})"
+        )
 
 
 def _leray_raw(g: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -256,11 +197,7 @@ def _shaped_noise(
 ) -> np.ndarray:
     rng = np.random.default_rng(seed)
     a = _hermitian_noise(grid, components, rng)
-    with np.errstate(divide="ignore"):
-        shape = np.where(
-            grid.k_squared > 0, grid.k_squared_safe ** (-decay / 2.0), 0.0
-        )
-    return a * (shape * grid.band_mask)[None]
+    return a * (grid.k_power(-decay) * grid.band_mask)[None]
 
 
 def _normalized(grid: Grid, coeffs: np.ndarray, amplitude: float) -> np.ndarray:

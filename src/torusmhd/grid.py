@@ -12,7 +12,6 @@ Coefficient convention: a real field is represented by complex coefficients
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +22,7 @@ __all__ = ["Grid", "make_grid", "set_fft_workers", "fft_workers"]
 
 TWO_PI = 2.0 * np.pi
 
-_FFT_WORKERS = int(os.environ.get("TORUSMHD_THREADS", "0")) or -1
+_FFT_WORKERS = -1
 
 
 def set_fft_workers(n: int | None) -> None:
@@ -122,6 +121,10 @@ class Grid:
     def k_squared_safe(self) -> np.ndarray:
         # 1.0 at the mean mode so division is safe; callers zero it themselves
         return np.where(self.k_squared > 0, self.k_squared, 1.0)
+
+    def k_power(self, s: float) -> np.ndarray:
+        """The symbol |kappa|^s of Lambda^s, set to 0 at the mean mode."""
+        return np.where(self.k_squared > 0, self.k_squared_safe ** (s / 2.0), 0.0)
 
     @cached_property
     def band_mask(self) -> np.ndarray:

@@ -174,7 +174,11 @@ def state_filename(step: int) -> str:
 
 
 def list_state_snapshots(directory: str | Path) -> list[tuple[float, Path]]:
-    """State snapshot files under a directory, ordered by stored time."""
+    """State snapshot files under a directory, ordered by stored time.
+
+    Two files holding the same time (a stale or copied snapshot) make the
+    order ambiguous and raise :class:`SnapshotFormatError` naming both.
+    """
     directory = Path(directory)
     entries: list[tuple[float, Path]] = []
     for p in sorted(directory.iterdir()):
@@ -182,6 +186,9 @@ def list_state_snapshots(directory: str | Path) -> list[tuple[float, Path]]:
             _dim, _m, _c, _side, time, _nu, _eta = _read_header(p)
             entries.append((time, p))
     entries.sort(key=lambda e: e[0])
+    for (t0, p0), (t1, p1) in zip(entries, entries[1:]):
+        if t0 == t1:
+            raise SnapshotFormatError(f"{p0} and {p1} both hold time {t0!r}")
     return entries
 
 

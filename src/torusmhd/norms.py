@@ -80,10 +80,7 @@ def sobolev_seminorm(field: SpectralField, s: float) -> float:
     """Homogeneous seminorm ||Lambda^s f||_L2; s = 0 is the mean-zero L2 norm."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    g = field.grid
-    with np.errstate(divide="ignore"):
-        weight = np.where(g.k_squared > 0, g.k_squared_safe**s, 0.0)
-    return float(np.sqrt(g.volume * np.sum(weight[None] * np.abs(field.coeffs) ** 2)))
+    return math.sqrt(_weighted_energy(field, field.grid.k_power(2.0 * s)))
 
 
 def _weighted_energy(field: SpectralField, weight: np.ndarray) -> float:

@@ -26,6 +26,7 @@ import scipy.fft as sfft
 from .grid import Grid, make_grid
 from .field import (
     SpectralField,
+    check_divfree,
     gradient,
     leray_project,
     partial_derivative,
@@ -332,11 +333,6 @@ def troisi_dilation_identity(
 # -- commutator estimate ------------------------------------------------------
 
 
-def _lambda_symbol(grid: Grid, s: float) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.where(grid.k_squared > 0, grid.k_squared_safe ** (s / 2.0), 0.0)
-
-
 def _product_grid(grid: Grid) -> Grid:
     # products of two band-K fields occupy band 2K; choose the smallest
     # FFT-friendly layout that represents and samples them exactly
@@ -381,8 +377,8 @@ def check_commutator(
     fs = grid.sample(f.coeffs, m)
     gs = grid.sample(g.coeffs, m)
     fg = _exact_product_coeffs(grid, fine, fs, gs)
-    lam_fg = _lambda_symbol(fine, s)[None] * fg
-    lam_g = _lambda_symbol(grid, s)[None] * g.coeffs
+    lam_fg = fine.k_power(s)[None] * fg
+    lam_g = grid.k_power(s)[None] * g.coeffs
     f_lam_g = _exact_product_coeffs(grid, fine, fs, grid.sample(lam_g, m))
     comm = lam_fg - f_lam_g
     comm_l2 = math.sqrt(fine.volume * float(np.sum(np.abs(comm) ** 2)))
@@ -394,11 +390,11 @@ def check_commutator(
     g_inf = lp_norm(g, math.inf, m_eval=sup_m)
     lam_sm1_g = math.sqrt(
         grid.volume
-        * float(np.sum(_lambda_symbol(grid, s - 1.0)[None] ** 2 * np.abs(g.coeffs) ** 2))
+        * float(np.sum(grid.k_power(s - 1.0)[None] ** 2 * np.abs(g.coeffs) ** 2))
     )
     lam_s_f = math.sqrt(
         grid.volume
-        * float(np.sum(_lambda_symbol(grid, s)[None] ** 2 * np.abs(f.coeffs) ** 2))
+        * float(np.sum(grid.k_power(s)[None] ** 2 * np.abs(f.coeffs) ** 2))
     )
     rhs = grad_f_inf * lam_sm1_g + lam_s_f * g_inf
     detail: dict = {"commutator_l2": comm_l2, "estimate": rhs}
@@ -479,8 +475,6 @@ def commutator_leibniz_report(
 
 PROP31_MODES = ("identity_22", "identity_30_line1", "bound_20", "bound_21")
 
-_DIVFREE_TOL = 1e-10
-
 # headline identities are measured against their own magnitude; the cubic
 # gauge enters only as a floor so symmetric fields whose pairing vanishes
 # identically do not divide rounding noise by itself
@@ -546,17 +540,6 @@ class _PlaneWorkspace:
     def convection(self, vel_samples: np.ndarray, dtarget: np.ndarray) -> np.ndarray:
         # (v . grad) f with dtarget[axis][comp] the target's derivative samples
         return np.einsum("i...,ij...->j...", vel_samples, dtarget)
-
-
-def _require_divfree(f: SpectralField, name: str) -> None:
-    g = f.grid
-    div = sum(g.wave_axes[a] * f.coeffs[a] for a in range(g.dim))
-    scale = float(np.abs(f.coeffs).max())
-    kmax = 2.0 * np.pi * g.band_limit / g.side_length
-    if float(np.abs(div).max()) > _DIVFREE_TOL * max(kmax * scale, 1e-30):
-        raise ValueError(
-            f"{name} must be divergence-free; the identities use it essentially"
-        )
 
 
 def _pair_chain_residuals(w: _PlaneWorkspace) -> dict[str, float]:
@@ -727,9 +710,9 @@ def check_prop31(
     if u.components != 4 or (b is not None and b.components != 4):
         raise ValueError("u and b must have four components")
     if enforce_divfree:
-        _require_divfree(u, "u")
+        check_divfree(u, "u")
         if b is not None:
-            _require_divfree(b, "b")
+            check_divfree(b, "b")
     w = _PlaneWorkspace(u, b)
 
     if mode == "identity_22":
@@ -1158,38 +1141,6 @@ def collect_lp_balance(
         p,
         q,
         config.nu,
-        tuple(times),
-        tuple(s[0] for s in series),
-        tuple(s[1] for s in series),
-        tuple(s[2] for s in series),
-        tuple(s[3] for s in series),
-    )
-
-
-def balance_data_from_snapshots(
-    snapshots: Iterable[tuple[float, SpectralField]],
-    component: int,
-    p: float,
-    q: float,
-    nu: float,
-) -> LpBalanceData:
-    """Evaluate the balance terms on stored velocity snapshots.
-
-    The pressure is recomputed from each snapshot; it is fully determined
-    by the velocity, so storing it is unnecessary.
-    """
-    _require_balance_exponents(p, q)
-    times = []
-    series = []
-    for t, u in snapshots:
-        pi = pressure_solve(u)
-        times.append(float(t))
-        series.append(_balance_terms(u, pi, component, p, q, nu))
-    return LpBalanceData(
-        component,
-        p,
-        q,
-        nu,
         tuple(times),
         tuple(s[0] for s in series),
         tuple(s[1] for s in series),

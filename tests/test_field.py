@@ -3,16 +3,11 @@ import pytest
 
 from torusmhd.field import (
     SpectralField,
-    apply_multiplier,
-    derivative_multiplier,
     divergence,
     field_from_function,
-    fractional_laplacian_multiplier,
     gradient,
-    laplacian_multiplier,
     leray_project,
     partial_derivative,
-    plane_laplacian_multiplier,
     rescale_field,
     synth_random_divfree,
     synth_random_field,
@@ -70,28 +65,29 @@ def test_gradient_and_divergence_consistency(grid3):
             grads.coeffs[a], partial_derivative(f, a).coeffs[0], atol=0
         )
     # div grad = laplacian
-    lap = apply_multiplier(f, laplacian_multiplier())
-    assert np.abs(divergence(grads).coeffs - lap.coeffs).max() < 1e-12
+    lap = -grid3.k_squared[None] * f.coeffs
+    assert np.abs(divergence(grads).coeffs - lap).max() < 1e-12
 
 
 def test_multiplier_symbols(grid2):
-    c = synth_random_field(grid2, 1, seed=8).coeffs
-    d0 = derivative_multiplier(0).symbol_array(grid2)
-    assert np.allclose(d0, 1j * grid2.wave_axes[0] * np.ones(grid2.shape))
-    lap = laplacian_multiplier().symbol_array(grid2)
-    assert np.allclose(lap, -grid2.k_squared)
-    plane = plane_laplacian_multiplier((1,)).symbol_array(grid2)
-    assert np.allclose(plane, -grid2.wave_axes[1] ** 2)
-    frac = fractional_laplacian_multiplier(1.0).symbol_array(grid2)
-    assert np.allclose(frac, np.sqrt(grid2.k_squared))
-    del c
+    # |kappa|^s on the lattice: sqrt(k^2) at s = 1, 1 at s = 0 off the mean
+    # mode, 0 at the mean mode for every s, including negative ones
+    assert np.allclose(grid2.k_power(1.0), np.sqrt(grid2.k_squared))
+    off_mean = grid2.k_squared > 0
+    assert np.array_equal(grid2.k_power(0.0), off_mean.astype(float))
+    neg = grid2.k_power(-3.0)
+    assert neg[0, 0] == 0.0
+    assert np.allclose(neg[off_mean], grid2.k_squared[off_mean] ** -1.5)
 
 
 def test_fractional_laplacian_closes_integer_power(grid2):
     f = synth_random_field(grid2, 1, seed=9)
-    twice = apply_multiplier(f, fractional_laplacian_multiplier(2.0))
-    lap = apply_multiplier(f, laplacian_multiplier())
-    assert np.abs(twice.coeffs + lap.coeffs).max() < 1e-12
+    twice = grid2.k_power(2.0)[None] * f.coeffs
+    lap = -grid2.k_squared[None] * f.coeffs
+    assert np.abs(twice + lap).max() < 1e-12
+    # Lambda^1 applied twice is Lambda^2
+    once = grid2.k_power(1.0)[None] * f.coeffs
+    assert np.abs(grid2.k_power(1.0)[None] * once - twice).max() < 1e-12
 
 
 def test_leray_kills_divergence_and_is_idempotent(grid4):

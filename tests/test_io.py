@@ -232,6 +232,27 @@ def test_config_document_roundtrip(tmp_path):
     assert doc["criteria"][0]["pairs"]["u4"][0] == "inf"
 
 
+def test_classical_pairs_follow_the_run_dimension():
+    # u in L^5(L^5) is admissible in dim 3 (3/5 + 2/5 = 1) but not in dim 4
+    doc = {
+        "dim": 3,
+        "modes_per_axis": 12,
+        "criteria": [{"theorem": "CLASSICAL_U", "pairs": {"u": [5, 5]}}],
+    }
+    assert tio.config_from_dict(doc).criteria[0].pairs == (("u", (5.0, 5.0)),)
+    with pytest.raises(tio.ConfigError, match="admissible region in dim 4"):
+        tio.config_from_dict({**doc, "dim": 4})
+    # grad u in L^4(L^2) sits on the dim-4 scaling line, not the dim-2 one
+    doc = {
+        "dim": 2,
+        "modes_per_axis": 12,
+        "criteria": [{"theorem": "CLASSICAL_GRADU", "pairs": {"grad_u": [4, 2]}}],
+    }
+    with pytest.raises(tio.ConfigError, match="admissible region in dim 2"):
+        tio.config_from_dict(doc)
+    assert tio.config_from_dict({**doc, "dim": 4}).criteria[0].label == "CLASSICAL_GRADU"
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(tio.ConfigError, match="'viscosity'"):
         tio.config_from_dict({"viscosity": 1.0})

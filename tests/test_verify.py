@@ -11,7 +11,6 @@ from torusmhd.norms import l2_norm
 from torusmhd.verify import (
     LpBalanceData,
     VerificationReport,
-    balance_data_from_snapshots,
     balance_run_config,
     band_pair,
     check_commutator,
@@ -285,11 +284,11 @@ def test_lp_balance_check_logic():
 
 
 def test_balance_input_validation():
-    with pytest.raises(ValueError, match="p > 2"):
-        balance_data_from_snapshots((), 2, 2.0, 1.5, 0.2)
-    with pytest.raises(ValueError, match="q must lie"):
-        balance_data_from_snapshots((), 2, 4.0, 4.0, 0.2)
     cfg = balance_run_config()
+    with pytest.raises(ValueError, match="p > 2"):
+        collect_lp_balance(cfg, 2, 2.0, 1.5)
+    with pytest.raises(ValueError, match="q must lie"):
+        collect_lp_balance(cfg, 2, 4.0, 4.0)
     magnetic = dataclasses.replace(
         cfg,
         initial=InitialCondition(preset="random_divfree", seed=1, b_amplitude=0.5),
