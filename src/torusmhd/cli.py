@@ -133,15 +133,17 @@ def cmd_monitor(args) -> int:
     if not snaps:
         raise tio.ConfigError(f"{indir}: no state snapshots to monitor")
 
+    spec_grid = spec_cfg.make_grid()
     recorder = Recorder(spec_cfg)
     ledger: EnergyLedger | None = None
     for t, path in snaps:
         state = _load_state(path)
         g = state.grid
-        if (g.dim, g.modes_per_axis) != (spec_cfg.dim, spec_cfg.modes_per_axis):
+        if g != spec_grid:
             raise tio.ConfigError(
-                f"{path}: snapshot grid {g.dim}x{g.modes_per_axis} does not match "
-                f"the spec's {spec_cfg.dim}x{spec_cfg.modes_per_axis}"
+                f"{path}: snapshot grid {g.dim}x{g.modes_per_axis} of side "
+                f"{g.side_length!r} does not match the spec's "
+                f"{spec_grid.dim}x{spec_grid.modes_per_axis} of side {spec_grid.side_length!r}"
             )
         e = energy(state.u, state.b if state.has_b else None)
         if ledger is None:

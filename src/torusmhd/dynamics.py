@@ -1,12 +1,15 @@
 """Incompressible MHD dynamics on the torus.
 
 The momentum and induction equations are advanced in coefficient space.
-Quadratic products are evaluated on a collocation grid fine enough that the
-retained band stays alias-free, the pressure is eliminated per mode by the
-Leray projection, and diffusion is integrated exactly by the integrating
-factor inside the RK4 stages.  A scalar quadrature of the dissipation rate
-rides along the same stages so the energy ledger closes to the integrator's
-own order.
+Quadratic products follow the 3/2 rule: u and b are sampled once on the
+smallest even fast FFT size above 3K (``Grid.alias_free_modes(2, K)``), where
+every product of two K-band fields is exact on the retained band.  One pair
+loop analyses the stress u_i u_j - b_i b_j, shared by the momentum term and
+:func:`pressure_solve`, and the antisymmetric induction u_i b_j - b_i u_j.
+The pressure is eliminated per mode by the Leray projection, and diffusion
+is integrated exactly by the integrating factor inside the RK4 stages.  A
+scalar quadrature of the dissipation rate rides along the same stages so the
+energy ledger closes to the integrator's own order.
 
 Time-step guidance: diffusion costs nothing (it is exact), so stability is
 set by advection.  A conservative bound is dt <= 1.5 / (kappa_max * V_max)
@@ -89,57 +92,43 @@ class MhdState:
 # -- nonlinear terms ----------------------------------------------------------
 
 
-def _product_modes(g: Grid) -> int:
-    # products of two K-band fields alias back into the band unless 3K < M;
-    # fall back to the padded evaluation grid when the base grid is too tight
-    if 3 * g.band_limit < g.modes_per_axis:
-        return g.modes_per_axis
-    return g.eval_modes
+def _product_samples(
+    g: Grid, u: np.ndarray, b: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    m = g.alias_free_modes(2, g.band_limit)
+    return g.sample(u, m), (g.sample(b, m) if b is not None else None)
 
 
-def _stress_divergence(
-    g: Grid, us: np.ndarray, bs: np.ndarray | None, m: int
-) -> np.ndarray:
-    """-d_i (u_i u_j - b_i b_j) as K-band coefficients, from samples on m."""
-    dim = g.dim
-    out = np.zeros((dim,) + g.shape, dtype=complex)
-    for i in range(dim):
-        for j in range(i, dim):
+def _stresses(g: Grid, us: np.ndarray, bs: np.ndarray | None):
+    """(i, j, S_ij) for i <= j, S_ij the analysed stress u_i u_j - b_i b_j."""
+    for i in range(g.dim):
+        for j in range(i, g.dim):
             prod = us[i] * us[j]
             if bs is not None:
                 prod = prod - bs[i] * bs[j]
-            s = g.analyze(prod)
-            out[j] -= 1j * g.wave_axes[i] * s
-            if i != j:
-                out[i] -= 1j * g.wave_axes[j] * s
-    return out * g.band_mask[None]
-
-
-def _induction_divergence(
-    g: Grid, us: np.ndarray, bs: np.ndarray, m: int
-) -> np.ndarray:
-    """-d_i (u_i b_j - b_i u_j) as K-band coefficients."""
-    dim = g.dim
-    out = np.zeros((dim,) + g.shape, dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                continue
-            s = g.analyze(us[i] * bs[j] - bs[i] * us[j])
-            out[j] -= 1j * g.wave_axes[i] * s
-    return out * g.band_mask[None]
+            yield i, j, g.analyze(prod)
 
 
 def _nonlinear(
     g: Grid, u: np.ndarray, b: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    m = _product_modes(g)
-    us = g.sample(u, m)
-    bs = g.sample(b, m) if b is not None else None
-    du = _leray_raw(g, _stress_divergence(g, us, bs, m))
-    db = None
-    if b is not None:
-        db = _leray_raw(g, _induction_divergence(g, us, bs, m))
+    """Projected -d_i (u_i u_j - b_i b_j) and -d_i (u_i b_j - b_i u_j)."""
+    us, bs = _product_samples(g, u, b)
+    k = g.wave_axes
+    du = np.zeros((g.dim,) + g.shape, dtype=complex)
+    db = np.zeros_like(du) if b is not None else None
+    for i, j, s in _stresses(g, us, bs):
+        du[j] -= 1j * k[i] * s
+        if i != j:
+            du[i] -= 1j * k[j] * s
+            if bs is not None:
+                # the induction tensor is antisymmetric: A_ji = -A_ij
+                a = g.analyze(us[i] * bs[j] - bs[i] * us[j])
+                db[j] -= 1j * k[i] * a
+                db[i] += 1j * k[j] * a
+    du = _leray_raw(g, du * g.band_mask[None])
+    if db is not None:
+        db = _leray_raw(g, db * g.band_mask[None])
     return du, db
 
 
@@ -252,18 +241,11 @@ def pressure_solve(u: SpectralField, b: SpectralField | None = None) -> Spectral
     g = u.grid
     if u.components != g.dim:
         raise ValueError("pressure_solve needs one velocity component per axis")
-    m = _product_modes(g)
-    us = g.sample(u.coeffs, m)
-    bs = g.sample(b.coeffs, m) if b is not None else None
+    us, bs = _product_samples(g, u.coeffs, b.coeffs if b is not None else None)
     pi_hat = np.zeros(g.shape, dtype=complex)
-    for i in range(g.dim):
-        for j in range(i, g.dim):
-            prod = us[i] * us[j]
-            if bs is not None:
-                prod = prod - bs[i] * bs[j]
-            s = g.analyze(prod)
-            w = g.wave_axes[i] * g.wave_axes[j] / g.k_squared_safe
-            pi_hat -= (w if i == j else 2.0 * w) * s
+    for i, j, s in _stresses(g, us, bs):
+        w = g.wave_axes[i] * g.wave_axes[j] / g.k_squared_safe
+        pi_hat -= (w if i == j else 2.0 * w) * s
     pi_hat *= g.band_mask
     pi_hat[(0,) * g.dim] = 0.0
     return SpectralField(g, pi_hat[None])
@@ -421,6 +403,8 @@ class InitialCondition:
             )
         if self.decay <= 0:
             raise ValueError("spectral decay must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -448,6 +432,8 @@ class SimConfig:
     free_axes: tuple[int, int] = (3, 4)
 
     def __post_init__(self):
+        # the grid's own checks, so a bad grid is refused before any run
+        self.make_grid()
         if not (self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (self.t_end > 0):

@@ -95,6 +95,19 @@ class Grid:
     def eval_modes(self) -> int:
         return self.pad_factor * self.modes_per_axis
 
+    def alias_free_modes(self, degree: int, band: int) -> int:
+        """Smallest even fast FFT size m >= M on which a product of ``degree``
+        K-band fields is exact up to wavenumber ``band``.
+
+        The product reaches degree*K and aliases onto k - m, which stays
+        beyond ``band`` when m > degree*K + band; (2, K) is the 3/2 rule of
+        Orszag (1971), (4, 0) makes the quadrature of a quartic exact.
+        """
+        m = max(self.modes_per_axis, degree * self.band_limit + band + 1)
+        while (m := sfft.next_fast_len(m)) % 2:
+            m += 1
+        return m
+
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """Integer wavenumbers along one axis, FFT layout."""

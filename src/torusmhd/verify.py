@@ -21,7 +21,6 @@ from statistics import median as _median
 from typing import Callable, Iterable
 
 import numpy as np
-import scipy.fft as sfft
 
 from .grid import Grid, make_grid
 from .field import (
@@ -275,8 +274,7 @@ def check_troisi(
         if top == 0.0 or min(dnorms) <= 1e-13 * top:
             excluded += 1
             continue
-        m4 = max(4 * g.band_limit + 2, g.modes_per_axis)
-        l4 = lp_norm(f, 4, m_eval=sfft.next_fast_len(m4))
+        l4 = lp_norm(f, 4, m_eval=g.alias_free_modes(4, 0))
         denom = 1.0
         for d in dnorms:
             denom *= d**0.25
@@ -333,23 +331,6 @@ def troisi_dilation_identity(
 # -- commutator estimate ------------------------------------------------------
 
 
-def _product_grid(grid: Grid) -> Grid:
-    # products of two band-K fields occupy band 2K; choose the smallest
-    # FFT-friendly layout that represents and samples them exactly
-    k2 = 2 * grid.band_limit
-    m = sfft.next_fast_len(2 * k2 + 2)
-    if m % 2:
-        m = sfft.next_fast_len(m + 1)
-    return Grid(grid.dim, m, grid.side_length, k2, 1)
-
-
-def _exact_product_coeffs(
-    grid: Grid, fine: Grid, a_samples: np.ndarray, b_samples: np.ndarray
-) -> np.ndarray:
-    prod = fine.analyze(a_samples * b_samples)
-    return prod * fine.band_mask
-
-
 _COMMUTATOR_SUP_MODES = 48
 
 
@@ -372,14 +353,17 @@ def check_commutator(
         raise ValueError("f and g must share a grid")
     if f.components != 1 or g.components != 1:
         raise ValueError("check_commutator expects scalar fields")
-    fine = _product_grid(grid)
-    m = fine.modes_per_axis
+    # products of two K-band fields occupy band 2K, held whole by a grid of
+    # their own on the size where they are exact up to 2K
+    k2 = 2 * grid.band_limit
+    m = grid.alias_free_modes(2, k2)
+    fine = Grid(grid.dim, m, grid.side_length, k2, 1)
     fs = grid.sample(f.coeffs, m)
     gs = grid.sample(g.coeffs, m)
-    fg = _exact_product_coeffs(grid, fine, fs, gs)
+    fg = fine.analyze(fs * gs) * fine.band_mask
     lam_fg = fine.k_power(s)[None] * fg
     lam_g = grid.k_power(s)[None] * g.coeffs
-    f_lam_g = _exact_product_coeffs(grid, fine, fs, grid.sample(lam_g, m))
+    f_lam_g = fine.analyze(fs * grid.sample(lam_g, m)) * fine.band_mask
     comm = lam_fg - f_lam_g
     comm_l2 = math.sqrt(fine.volume * float(np.sum(np.abs(comm) ** 2)))
 
@@ -404,9 +388,7 @@ def check_commutator(
         t1 = grid.sample(lap_f, m) * gs
         t2 = np.zeros_like(fs)
         for a in range(grid.dim):
-            df = grid.sample(1j * grid.wave_axes[a][None] * f.coeffs, m)
-            dg = grid.sample(1j * grid.wave_axes[a][None] * g.coeffs, m)
-            t2 = t2 + df * dg
+            t2 = t2 + partial_derivative(f, a).sample(m) * partial_derivative(g, a).sample(m)
         leibniz = fine.analyze(-t1 - 2.0 * t2) * fine.band_mask
         scale = max(np.abs(comm).max(), np.abs(leibniz).max(), 1e-300)
         detail["leibniz_residual"] = float(np.abs(comm - leibniz).max() / scale)
@@ -481,6 +463,12 @@ PROP31_MODES = ("identity_22", "identity_30_line1", "bound_20", "bound_21")
 _GAUGE_FLOOR = 1e-3
 
 
+def _derivative_samples(f: SpectralField, m: int) -> np.ndarray:
+    """First-derivative samples on m, indexed [axis][component]."""
+    # one axis at a time keeps the transform buffers at one field's size
+    return np.stack([partial_derivative(f, a).sample(m) for a in range(f.grid.dim)])
+
+
 class _PlaneWorkspace:
     """Shared collocation samples for the plane-Laplacian identity checks.
 
@@ -497,20 +485,8 @@ class _PlaneWorkspace:
         self.b = b
         self.us = g.sample(u.coeffs, self.m)
         self.bs = g.sample(b.coeffs, self.m) if b is not None else None
-        # first derivatives, indexed [axis][component]
-        self.dus = np.stack(
-            [g.sample(1j * g.wave_axes[a][None] * u.coeffs, self.m) for a in range(4)]
-        )
-        self.dbs = (
-            np.stack(
-                [
-                    g.sample(1j * g.wave_axes[a][None] * b.coeffs, self.m)
-                    for a in range(4)
-                ]
-            )
-            if b is not None
-            else None
-        )
+        self.dus = _derivative_samples(u, self.m)
+        self.dbs = _derivative_samples(b, self.m) if b is not None else None
         self._second: dict[tuple[int, int], np.ndarray] = {}
 
     def quad(self, values: np.ndarray) -> float:
@@ -888,9 +864,7 @@ def check_dissipative_identity(
     m = m_quad or g.eval_modes
     us = g.sample(u_comp.coeffs, m)[0]
     lap = g.sample(-g.k_squared[None] * u_comp.coeffs, m)[0]
-    grads = np.stack(
-        [g.sample(1j * g.wave_axes[a][None] * u_comp.coeffs, m)[0] for a in range(g.dim)]
-    )
+    grads = _derivative_samples(u_comp, m)[:, 0]
     absu = np.abs(us)
     lhs = -float(g.quadrature(lap * absu ** (p - 2.0) * us))
     rhs = (p - 1.0) * float(g.quadrature(absu ** (p - 2.0) * (grads**2).sum(axis=0)))
@@ -1066,18 +1040,14 @@ def _balance_terms(
     us = g.sample(u.coeffs[component : component + 1], m)[0]
     absu = np.abs(us)
     lp_pow = float(g.quadrature(absu**p))
-    grads = np.stack(
-        [
-            g.sample(1j * g.wave_axes[a][None] * u.coeffs[component : component + 1], m)[0]
-            for a in range(g.dim)
-        ]
-    )
+    grads = _derivative_samples(u.component(component), m)[:, 0]
     diss = nu * (p - 1.0) * float(g.quadrature(absu ** (p - 2.0) * (grads**2).sum(axis=0)))
-    dpi = g.sample(1j * g.wave_axes[component][None] * pi.coeffs, m)[0]
+    dpi = partial_derivative(pi, component).sample(m)[0]
     press = -float(g.quadrature(dpi * absu ** (p - 2.0) * us))
-    qc = q / (q - 1.0)
-    dpi_q = lp_norm(partial_derivative(pi, component), q)
-    u_pq = lp_norm(u.component(component), (p - 1.0) * qc)
+    # the Holder majorant ||d_i pi||_q ||u_i||_{(p-1)q'}^{p-1}, from the same samples
+    pq = (p - 1.0) * (q / (q - 1.0))
+    dpi_q = g.quadrature(np.abs(dpi) ** q) ** (1.0 / q)
+    u_pq = g.quadrature(absu**pq) ** (1.0 / pq)
     majorant = dpi_q * u_pq ** (p - 1.0)
     return lp_pow, diss, press, majorant
 

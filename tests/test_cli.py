@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -85,8 +86,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     bad.write_text("{not json")
     assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # grid-level values are refused while the config is built, not mid-run
+    bad.write_text(json.dumps({"dim": 2, "modes_per_axis": 7}))
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    assert "modes_per_axis" in err
 
 
 def test_missing_config_exits_4(tmp_path, capsys):
@@ -182,6 +187,15 @@ def test_monitor_grid_mismatch_exits_2(tmp_path, capsys):
     monitor_config(spec_path)
     assert cli.main(["monitor", "--in", str(out), "--spec", str(spec_path)]) == 2
     assert "does not match" in capsys.readouterr().err
+
+    # same dim and modes, another torus side
+    side_path = write_config(tmp_path / "run2d_side3.json", side_length=3.0)
+    side_out = tmp_path / "out_side3"
+    assert cli.main(["simulate", "--config", str(side_path), "--out", str(side_out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["monitor", "--in", str(side_out), "--spec", str(run_cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "does not match" in err and "3.0" in err and repr(2 * math.pi) in err
 
 
 def test_threads_env_validation(monkeypatch, tmp_path, capsys):

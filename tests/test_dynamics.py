@@ -22,7 +22,7 @@ from torusmhd.dynamics import (
     taylor_green_state,
 )
 from torusmhd.field import SpectralField, gradient, synth_random_divfree
-from torusmhd.grid import make_grid
+from torusmhd.grid import Grid, make_grid
 from torusmhd.norms import energy, l2_inner, l2_norm, lp_norm, wxyz
 
 
@@ -78,30 +78,57 @@ def test_taylor_green_rhs_is_pure_diffusion(grid2, grid4):
         assert not np.any(db.coeffs)
 
 
-def test_pressure_balances_advection(grid2):
-    u, b = mhd_pair(grid2, seed=21)
-    st = MhdState(u, b, nu=0.0, eta=0.0)
-    du, _db = mhd_rhs(st)
-    pi = pressure_solve(u, b)
+def test_pressure_balances_advection(grid2, grid3):
+    # grid3 has 3K = M, so its products take the 3/2-rule size above M
+    for g in (grid2, grid3):
+        u, b = mhd_pair(g, seed=21)
+        st = MhdState(u, b, nu=0.0, eta=0.0)
+        du, _db = mhd_rhs(st)
+        pi = pressure_solve(u, b)
 
-    # independent advective stress: T_i = sum_j u_j d_j u_i - b_j d_j b_i,
-    # from pointwise products on the padded grid
-    g = grid2
-    m = g.eval_modes
-    us = g.sample(u.coeffs, m)
-    bs = g.sample(b.coeffs, m)
-    adv = np.zeros((g.dim,) + g.shape, dtype=complex)
-    for i in range(g.dim):
-        acc = np.zeros((m,) * g.dim)
-        for j in range(g.dim):
-            dui = g.sample(1j * g.wave_axes[j] * u.coeffs[i], m)
-            dbi = g.sample(1j * g.wave_axes[j] * b.coeffs[i], m)
-            acc = acc + us[j] * dui.real - bs[j] * dbi.real
-        adv[i] = g.analyze(acc) * g.band_mask
+        # independent advective stress: T_i = sum_j u_j d_j u_i - b_j d_j b_i,
+        # from pointwise products on the padded grid
+        m = g.eval_modes
+        us = g.sample(u.coeffs, m)
+        bs = g.sample(b.coeffs, m)
+        adv = np.zeros((g.dim,) + g.shape, dtype=complex)
+        for i in range(g.dim):
+            acc = np.zeros((m,) * g.dim)
+            for j in range(g.dim):
+                dui = g.sample(1j * g.wave_axes[j] * u.coeffs[i], m)
+                dbi = g.sample(1j * g.wave_axes[j] * b.coeffs[i], m)
+                acc = acc + us[j] * dui.real - bs[j] * dbi.real
+            adv[i] = g.analyze(acc) * g.band_mask
 
-    resid = du.coeffs + adv + gradient(pi).coeffs
-    scale = np.max(np.abs(du.coeffs))
-    assert np.max(np.abs(resid)) < 1e-12 * scale
+        resid = du.coeffs + adv + gradient(pi).coeffs
+        scale = np.max(np.abs(du.coeffs))
+        assert np.max(np.abs(resid)) < 1e-12 * scale
+
+
+def test_one_analysis_per_product(grid2, grid3, grid4, monkeypatch):
+    # the stress is symmetric and the induction antisymmetric: dim(dim+1)/2
+    # analyses for u alone, dim^2 with b, and the pressure reuses the stress
+    calls = []
+    analyze = Grid.analyze
+
+    def counted(self, values):
+        calls.append(values.shape)
+        return analyze(self, values)
+
+    monkeypatch.setattr(Grid, "analyze", counted)
+    for g in (grid2, grid3, grid4):
+        u, b = mhd_pair(g, seed=24)
+        zero = SpectralField.zeros(g, g.dim)
+        pairs = g.dim * (g.dim + 1) // 2
+        for bb, want in ((b, g.dim**2), (zero, pairs)):
+            calls.clear()
+            mhd_rhs(MhdState(u, bb))
+            assert len(calls) == want
+        calls.clear()
+        pressure_solve(u, b)
+        assert len(calls) == pairs
+        size = g.alias_free_modes(2, g.band_limit)
+        assert set(calls) == {(size,) * g.dim}
 
 
 def test_rhs_outputs_divergence_free(grid2):

@@ -100,3 +100,55 @@ def test_fft_workers_roundtrip():
         assert fft_workers() == -1
     finally:
         set_fft_workers(old if old > 0 else None)
+
+
+@pytest.mark.parametrize(
+    "m,degree,band,want",
+    [
+        (16, 2, 5, 16),
+        (16, 2, 10, 22),
+        (16, 4, 0, 22),
+        (12, 2, 4, 14),
+        (48, 2, 16, 50),
+    ],
+)
+def test_alias_free_modes_table(m, degree, band, want):
+    g = make_grid(3, m)
+    assert g.alias_free_modes(degree, band) == want
+
+
+def test_alias_free_modes_has_no_cliff():
+    # at M = 24 the 3K = M product grid used to double to 48
+    sizes = {m: make_grid(4, m).alias_free_modes(2, m // 3) for m in (24, 32)}
+    assert sizes[24] < sizes[32]
+
+
+def _banded(g, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((1,) + g.shape) + 1j * rng.standard_normal((1,) + g.shape)
+    return 0.5 * (c + g.conj_reversed(c)) * g.band_mask
+
+
+@pytest.mark.parametrize("dim,m", [(2, 12), (2, 16), (3, 12)])
+def test_alias_free_modes_are_exact(dim, m):
+    g = make_grid(dim, m)
+    k = g.band_limit
+    a, b = _banded(g, 3), _banded(g, 4)
+    ref_m = 4 * m
+    for band in (k, 2 * k):
+        size = g.alias_free_modes(2, band)
+        fine = Grid(dim, size, g.side_length, band, 1)
+        got = fine.analyze(g.sample(a, size) * g.sample(b, size)) * fine.band_mask
+        ref = Grid(dim, ref_m, g.side_length, band, 1)
+        want = ref.analyze(g.sample(a, ref_m) * g.sample(b, ref_m)) * ref.band_mask
+        assert np.abs(fine.scatter(got, ref_m) - want).max() < 1e-13 * np.abs(want).max()
+    size = g.alias_free_modes(4, 0)
+    quartic = g.quadrature((g.sample(a, size) * g.sample(b, size)) ** 2)
+    exact = g.quadrature((g.sample(a, ref_m) * g.sample(b, ref_m)) ** 2)
+    assert quartic == pytest.approx(exact, rel=1e-13)
+    if 3 * k >= m:
+        # the base grid itself aliases the stress back into the band
+        prod = g.analyze(g.sample(a, m) * g.sample(b, m)) * g.band_mask
+        size = g.alias_free_modes(2, k)
+        exact_prod = g.analyze(g.sample(a, size) * g.sample(b, size)) * g.band_mask
+        assert np.abs(prod - exact_prod).max() > 1e-6

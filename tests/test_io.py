@@ -284,6 +284,10 @@ def test_config_rejects_unknown_keys():
             "admissible",
         ),
         ({"dim": 2, "dt": -1.0}, "dt"),
+        ({"dim": 5}, "dim must be one of"),
+        ({"modes_per_axis": 7}, "modes_per_axis"),
+        ({"side_length": -1}, "side_length"),
+        ({"initial": {"preset": "random_divfree", "seed": -1}}, "seed"),
     ],
 )
 def test_config_rejects_bad_values(doc, msg):
