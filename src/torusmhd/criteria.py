@@ -12,9 +12,12 @@ import math
 from dataclasses import dataclass, field as dfield
 from enum import Enum
 from fractions import Fraction
+from typing import Mapping, Sequence
 
-from .field import SpectralField, gradient, partial_derivative
-from .norms import NormSeries, accumulate, lp_norm, wxyz
+import numpy as np
+
+from .field import SpectralField, partial_derivative
+from .norms import NormSeries, accumulate, lp_norms, wxyz
 
 __all__ = [
     "Theorem",
@@ -26,6 +29,8 @@ __all__ = [
     "gronwall_rhs",
     "monitored_components",
     "monitored_field",
+    "monitored_norms",
+    "SPLIT_TAGS",
     "p_label",
     "SMALLNESS_ENDPOINTS",
 ]
@@ -61,7 +66,18 @@ SMALLNESS_ENDPOINTS = {
     Theorem.T1_4: Fraction(12, 5),
 }
 
-_PRESSURE_TAGS = frozenset({"dpi3", "dpi4", "grad_pi"})
+# each monitored quantity as its parts (field, derivative axis, component):
+# None is no derivative, "*" every axis or component, "3"/"4" a free axis
+_PARTS = {
+    "u": ("u", None, "*"), "u3": ("u", None, "3"), "u4": ("u", None, "4"),
+    "b": ("b", None, "*"), "grad_u": ("u", "*", "*"), "grad_u3": ("u", "*", "3"),
+    "grad_u4": ("u", "*", "4"), "grad_b": ("b", "*", "*"),
+    "dpi3": ("pi", "3", 0), "dpi4": ("pi", "4", 0), "grad_pi": ("pi", "*", 0),
+}
+_SOURCES = {"b": "a magnetic field", "pi": "the pressure"}
+_PRESSURE_TAGS = frozenset(t for t, (f, _a, _c) in _PARTS.items() if f == "pi")
+# the quantities that need the two-component split of dim 4
+SPLIT_TAGS = frozenset(t for t, (_f, a, c) in _PARTS.items() if {a, c} & {"3", "4"})
 _CLASSICAL = frozenset(
     {Theorem.CLASSICAL_U, Theorem.CLASSICAL_GRADU, Theorem.CLASSICAL_GRADPI}
 )
@@ -189,6 +205,18 @@ class CriterionSpec:
         return any(c in _PRESSURE_TAGS for c, _ in self.pairs)
 
 
+def _parts(tag: str, fields: dict, free_axes: tuple[int, int]) -> tuple[tuple, ...]:
+    """The parts of a tag, axis-major like ``gradient``'s components."""
+    if tag not in _PARTS:
+        raise ValueError(f"unknown monitored quantity '{tag}'")
+    name, axis, comp = _PARTS[tag]
+    if fields[name] is None:
+        raise ValueError(f"monitored quantity '{tag}' requires {_SOURCES[name]}")
+    every = range(fields[name].grid.dim)
+    pick = {None: (None,), 0: (0,), "*": every, "3": free_axes[:1], "4": free_axes[1:]}
+    return tuple((name, a, c) for a in pick[axis] for c in pick[comp])
+
+
 def monitored_field(
     tag: str,
     u: SpectralField,
@@ -201,34 +229,26 @@ def monitored_field(
     ``free_axes`` are the (0-based) component axes playing the role of the
     two monitored directions; the default matches the dim-4 convention.
     """
-    a3, a4 = free_axes
-    if tag == "u":
-        return u
-    if tag == "u3":
-        return u.component(a3)
-    if tag == "u4":
-        return u.component(a4)
-    if tag == "b":
-        if b is None:
-            raise ValueError("monitored quantity 'b' requires a magnetic field")
-        return b
-    if tag == "grad_u":
-        return gradient(u)
-    if tag == "grad_u3":
-        return gradient(u.component(a3))
-    if tag == "grad_u4":
-        return gradient(u.component(a4))
-    if tag == "grad_b":
-        if b is None:
-            raise ValueError("monitored quantity 'grad_b' requires a magnetic field")
-        return gradient(b)
-    if tag in ("dpi3", "dpi4", "grad_pi"):
-        if pi is None:
-            raise ValueError(f"monitored quantity '{tag}' requires the pressure")
-        if tag == "grad_pi":
-            return gradient(pi)
-        return partial_derivative(pi, a3 if tag == "dpi3" else a4)
-    raise ValueError(f"unknown monitored quantity '{tag}'")
+    fields = {"u": u, "b": b, "pi": pi}
+    blocks = []
+    for name, axis, comp in _parts(tag, fields, free_axes):
+        part = fields[name].component(comp)
+        blocks.append(part if axis is None else partial_derivative(part, axis))
+    return SpectralField(u.grid, np.concatenate([f.coeffs for f in blocks]))
+
+
+def monitored_norms(
+    request: Mapping[str, Sequence[float]],
+    u: SpectralField,
+    b: SpectralField | None,
+    pi: SpectralField | None = None,
+    free_axes: tuple[int, int] = (2, 3),
+) -> dict[tuple[str, float], float]:
+    """``{(tag, p): norm}`` for ``request`` = {tag: exponents}, in one pass of
+    :func:`~torusmhd.norms.lp_norms`: tags share the parts they overlap in."""
+    fields = {"u": u, "b": b, "pi": pi}
+    parts = {tag: (_parts(tag, fields, free_axes), ps) for tag, ps in request.items()}
+    return lp_norms({k: f for k, f in fields.items() if f is not None}, parts)
 
 
 @dataclass
@@ -346,9 +366,12 @@ def gronwall_rhs(
             raise ValueError(
                 f"p={p} for '{comp}' is below the functional's range (>= {lo})"
             )
+    norms = monitored_norms(
+        {comp: (p,) for comp, (p, _r) in spec.pairs}, u, b, free_axes=free_axes
+    )
+    for comp, (p, _r) in spec.pairs:
         a_n, a_x, a_z = expo(p)
-        n = lp_norm(monitored_field(comp, u, b, free_axes=free_axes), p)
-        term = n**a_n
+        term = norms[comp, p] ** a_n
         if a_x:
             term *= vals.X**a_x
         if a_z:

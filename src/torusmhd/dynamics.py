@@ -25,8 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .criteria import CriterionSpec, MonitorStatus, BOOTSTRAP_TAGS, monitor_update, monitored_field
-from .field import SpectralField, check_divfree, gradient, _leray_raw
+from .criteria import BOOTSTRAP_TAGS, SPLIT_TAGS, CriterionSpec, MonitorStatus
+from .criteria import monitor_update, monitored_norms
+from .field import SpectralField, check_divfree, _leray_raw
 from .grid import Grid, make_grid
 from .norms import EnergyLedger, NormSeries, accumulate, energy, lp_norm, wxyz
 
@@ -184,26 +185,36 @@ def _dissipation_increment(
     g: Grid,
     dt: float,
     diff: float,
-    d0: np.ndarray,
-    d1: np.ndarray,
-    d0p: np.ndarray,
-    d1p: np.ndarray,
-    decay: np.ndarray,
+    f0: np.ndarray,
+    stages: tuple[np.ndarray, ...],
+    n_end: np.ndarray,
+    e: np.ndarray,
+    ei: np.ndarray,
 ) -> float:
     """∫ 2 diff ||grad field||^2 over one step, from slow-variable data.
 
-    ``d0`` and ``d1`` are the per-mode component sums |v|^2 of the
-    integrating-factor variable v(s) = e^{+diff k^2 s} field(s) at the step
-    ends, ``d0p``/``d1p`` its one-sided derivatives in units of the step,
-    and ``decay`` the squared per-step decay factor assembled from the same
-    rounded half-step exponentials the stepper applies.  Anchoring the d0
-    term on ``decay`` instead of a fresh exp(-z) keeps the pure-diffusion
-    part of the ledger consistent with the state update to rounding noise;
-    the cubic Hermite correction then carries only the O(dt) nonlinear
-    modulation, where weight roundoff is harmless.
+    The slow variable is the integrating-factor variable
+    v(s) = e^{+diff k^2 s} field(s): ``f0`` is the field at the step start,
+    ``stages`` the four RK4 stage nonlinearities, ``n_end`` the nonlinearity
+    at the completed step, and ``e``/``ei`` the rounded half-step decay and
+    unwinding exponentials the stepper applies.  The d0 term is anchored on
+    the squared per-step decay assembled from ``e`` instead of a fresh
+    exp(-z), which keeps the pure-diffusion part of the ledger consistent
+    with the state update to rounding noise; the cubic Hermite correction
+    then carries only the O(dt) nonlinear modulation, where weight roundoff
+    is harmless.
     """
     if diff == 0.0:
         return 0.0
+    n1, n2, n3, n4 = stages
+    # the unwound endpoint is assembled from the stage terms directly so no
+    # e^{+x} e^{-x} round trip ever touches the O(1) f0 part
+    v1 = f0 + (dt / 6) * (n1 + 2.0 * (ei * (n2 + n3)) + ei * (ei * n4))
+    # one-sided derivatives of |v|^2 at the step ends, in units of the step
+    d0p = 2.0 * dt * np.sum((f0.conj() * n1).real, axis=0)
+    d1p = 2.0 * dt * np.sum((v1.conj() * (ei * (ei * n_end))).real, axis=0)
+    d0, d1 = _mode_power(f0), _mode_power(v1)
+    decay = ((e * e) * (e * e))[0]
     z = (2.0 * diff * dt) * g.k_squared
     w1, wp0, wp1 = _hermite_weights(z)
     corr = z * ((d1 - d0) * w1 + d0p * wp0 + d1p * wp1)
@@ -322,52 +333,16 @@ def step_ifrk4(state: MhdState, dt: float) -> tuple[MhdState, float]:
             # endpoint slope of the slow variable needs the nonlinearity at
             # the completed step; a fifth evaluation, spent only here
             nnu, nnb = _nonlinear(g, u_new, b_new if has_b else None)
-            # the unwound endpoint is assembled from the stage terms directly
-            # so no e^{+x} e^{-x} round trip ever touches the O(1) u0 part
-            v1u = u0 + (dt / 6) * (
-                n1u + 2.0 * (eui * (n2u + n3u)) + eui * (eui * n4u)
-            )
-            d0p_u = 2.0 * dt * np.sum((u0.conj() * n1u).real, axis=0)
-            d1p_u = 2.0 * dt * np.sum(
-                (v1u.conj() * (eui * (eui * nnu))).real, axis=0
-            )
-            pu = ((eu * eu) * (eu * eu))[0]
-            dinc = _dissipation_increment(
-                g, dt, nu, _mode_power(u0), _mode_power(v1u), d0p_u, d1p_u, pu
-            )
+            dinc = _dissipation_increment(g, dt, nu, u0, (n1u, n2u, n3u, n4u), nnu, eu, eui)
             if has_b:
-                v1b = b0 + (dt / 6) * (
-                    n1b + 2.0 * (ebi * (n2b + n3b)) + ebi * (ebi * n4b)
-                )
-                d0p_b = 2.0 * dt * np.sum((b0.conj() * n1b).real, axis=0)
-                d1p_b = 2.0 * dt * np.sum(
-                    (v1b.conj() * (ebi * (ebi * nnb))).real, axis=0
-                )
-                pb = ((eb * eb) * (eb * eb))[0]
                 dinc += _dissipation_increment(
-                    g,
-                    dt,
-                    eta,
-                    _mode_power(b0),
-                    _mode_power(v1b),
-                    d0p_b,
-                    d1p_b,
-                    pb,
+                    g, dt, eta, b0, (n1b, n2b, n3b, n4b), nnb, eb, ebi
                 )
         else:
             dinc = 0.0
-    if not (
-        np.all(np.isfinite(u_new))
-        and np.all(np.isfinite(b_new))
-    ):
+    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(b_new))):
         raise DivergedError(f"non-finite coefficients at t={state.time + dt:.6g}")
-    new = MhdState(
-        SpectralField(g, u_new),
-        SpectralField(g, b_new),
-        state.time + dt,
-        nu,
-        eta,
-    )
+    new = MhdState(SpectralField(g, u_new), SpectralField(g, b_new), state.time + dt, nu, eta)
     return new, dinc
 
 
@@ -401,8 +376,10 @@ class InitialCondition:
             raise ValueError(
                 f"unknown preset '{self.preset}' (one of {self._PRESETS})"
             )
-        if self.decay <= 0:
-            raise ValueError("spectral decay must be positive")
+        if not (0 < self.decay < math.inf):
+            raise ValueError(f"spectral decay must be positive and finite, got {self.decay}")
+        if not all(map(math.isfinite, (self.amplitude, self.b_amplitude))):
+            raise ValueError("amplitude and b_amplitude must be finite")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -434,12 +411,11 @@ class SimConfig:
     def __post_init__(self):
         # the grid's own checks, so a bad grid is refused before any run
         self.make_grid()
-        if not (self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (self.t_end > 0):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.nu < 0 or self.eta < 0:
-            raise ValueError("diffusivities must be non-negative")
+        for name in ("dt", "t_end", "nu", "eta"):
+            v, positive = getattr(self, name), name in ("dt", "t_end")
+            if not (0 < v < math.inf if positive else 0 <= v < math.inf):
+                sign = "positive" if positive else "non-negative"
+                raise ValueError(f"{name} must be {sign} and finite, got {v}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.snapshot_every < 0:
@@ -453,10 +429,9 @@ class SimConfig:
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate criterion theorems in one run")
         if self.dim != 4:
-            split = ("u3", "u4", "grad_u3", "grad_u4", "dpi3", "dpi4")
             for s in self.criteria:
                 for comp, _ in s.pairs:
-                    if comp in split:
+                    if comp in SPLIT_TAGS:
                         raise ValueError(
                             f"criterion {s.label} monitors '{comp}', which needs "
                             f"the two-component split of dim 4 (dim is {self.dim})"
@@ -558,8 +533,10 @@ def compute_record(
 ) -> tuple[dict[str, float], SpectralField | None]:
     """One row of diagnostics for a state, plus the pressure if required.
 
-    This single code path serves both the live run and snapshot replay, so
-    the two produce identical values for identical states.
+    Every L^p norm of the row (criterion pairs, bootstrap gradients at p = dim)
+    comes from one request to :func:`~torusmhd.criteria.monitored_norms`, one
+    sampling pass.  This single code path serves both the live run and
+    snapshot replay, so the two produce identical values for identical states.
     """
     has_b = bool(np.any(b.coeffs))
     barg = b if has_b else None
@@ -571,14 +548,22 @@ def compute_record(
     pi = None
     if config.needs_pressure:
         pi = pressure_solve(u, barg)
+    n = config.dim
+    request: dict[str, list[float]] = {}
     if config.monitor_bootstrap:
-        n = config.dim
-        row["gradu_LN"] = lp_norm(gradient(u), n)
-        row["gradb_LN"] = lp_norm(gradient(b), n) if has_b else 0.0
+        request["grad_u"] = [n]
+        if has_b:
+            request["grad_b"] = [n]
     for spec in config.criteria:
         for comp, (p, _r) in spec.pairs:
-            f = monitored_field(comp, u, b, pi, config.free_axes0)
-            row[spec.norm_tag(comp)] = lp_norm(f, p)
+            request.setdefault(comp, []).append(p)
+    norms = monitored_norms(request, u, b, pi, config.free_axes0)
+    if config.monitor_bootstrap:
+        row["gradu_LN"] = norms["grad_u", n]
+        row["gradb_LN"] = norms["grad_b", n] if has_b else 0.0
+    for spec in config.criteria:
+        for comp, (p, _r) in spec.pairs:
+            row[spec.norm_tag(comp)] = norms[comp, p]
     return row, pi
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "divergence",
     "gradient",
     "partial_derivative",
+    "sample_part",
     "field_from_function",
 ]
 
@@ -126,6 +127,20 @@ class SpectralField:
 
 def partial_derivative(field: SpectralField, axis: int) -> SpectralField:
     return SpectralField(field.grid, field.coeffs * (1j * field.grid.wave_axes[axis]))
+
+
+def sample_part(
+    field: SpectralField, component: int, axis: int | None = None, m_eval: int | None = None
+) -> np.ndarray:
+    """Samples of one component of a field, or of its first derivative along ``axis``.
+
+    One component at a time keeps the transform buffers at one scalar
+    field's size.
+    """
+    coeffs = field.coeffs[component : component + 1]
+    if axis is not None:
+        coeffs = coeffs * (1j * field.grid.wave_axes[axis])
+    return field.grid.sample(coeffs, m_eval)[0]
 
 
 def gradient(field: SpectralField) -> SpectralField:

@@ -12,6 +12,7 @@ Coefficient convention: a real field is represented by complex coefficients
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -248,6 +249,6 @@ def make_grid(dim: int, modes_per_axis: int, side_length: float = TWO_PI) -> Gri
         raise ValueError(f"modes_per_axis must be >= 8, got {modes_per_axis}")
     if modes_per_axis % 2:
         raise ValueError(f"modes_per_axis must be even, got {modes_per_axis}")
-    if not (side_length > 0):
-        raise ValueError(f"side_length must be positive, got {side_length}")
+    if not (0 < side_length < math.inf):
+        raise ValueError(f"side_length must be positive and finite, got {side_length}")
     return Grid(dim, modes_per_axis, float(side_length), modes_per_axis // 3)

@@ -203,15 +203,9 @@ def series_columns(config: SimConfig) -> list[str]:
     cols = ["time", "energy", "dissipation_integral", "defect"]
     if config.dim == 4:
         cols += ["W", "X", "Y", "Z"]
-    for spec in config.criteria:
-        for comp, _pair in spec.pairs:
-            cols.append(spec.norm_tag(comp))
-            cols.append(spec.accumulator_key(comp))
-    if config.monitor_bootstrap:
-        for key, tag, _r in accumulator_columns(config):
-            if key.startswith("acc_bootstrap_"):
-                cols.append(tag)
-                cols.append(key)
+    # each norm column, then the accumulator fed by it
+    for key, tag, _r in accumulator_columns(config):
+        cols += [tag, key]
     return cols
 
 
@@ -362,6 +356,21 @@ def _criterion_from_dict(doc: dict, path: str) -> CriterionSpec:
         raise ConfigError(f"at '{path}': {exc}") from None
 
 
+_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+
+
+def _take(doc: dict, keys: tuple[str, ...], kind: type, where: str, out: dict) -> None:
+    """Copy the keys present in ``doc`` into ``out``, refusing values of
+    another kind (a bool is no number; float accepts integers too)."""
+    for k in (k for k in keys if k in doc):
+        v = doc[k]
+        if isinstance(v, bool) != (kind is bool) or not isinstance(
+            v, (int, float) if kind is float else kind
+        ):
+            raise ConfigError(f"'{where}{k}' must be {_KINDS[kind]}, got {v!r}")
+        out[k] = float(v) if kind is float else v
+
+
 _TOP_KEYS = (
     "dim",
     "modes_per_axis",
@@ -391,22 +400,9 @@ def config_from_dict(doc: dict) -> SimConfig:
         raise ConfigError("the configuration document must be a JSON object")
     _check_keys(doc, _TOP_KEYS, "")
     kwargs: dict = {}
-    for k in ("dim", "modes_per_axis", "record_every", "snapshot_every"):
-        if k in doc:
-            v = doc[k]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ConfigError(f"'{k}' must be an integer, got {v!r}")
-            kwargs[k] = v
-    for k in ("side_length", "nu", "eta", "dt", "t_end"):
-        if k in doc:
-            v = doc[k]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"'{k}' must be a number, got {v!r}")
-            kwargs[k] = float(v)
-    if "monitor_bootstrap" in doc:
-        if not isinstance(doc["monitor_bootstrap"], bool):
-            raise ConfigError("'monitor_bootstrap' must be a boolean")
-        kwargs["monitor_bootstrap"] = doc["monitor_bootstrap"]
+    _take(doc, ("dim", "modes_per_axis", "record_every", "snapshot_every"), int, "", kwargs)
+    _take(doc, ("side_length", "nu", "eta", "dt", "t_end"), float, "", kwargs)
+    _take(doc, ("monitor_bootstrap",), bool, "", kwargs)
     if "free_axes" in doc:
         fa = doc["free_axes"]
         if not (isinstance(fa, list) and len(fa) == 2 and all(isinstance(a, int) and not isinstance(a, bool) for a in fa)):
@@ -418,20 +414,9 @@ def config_from_dict(doc: dict) -> SimConfig:
             raise ConfigError("'initial' must be an object")
         _check_keys(ini, _INITIAL_KEYS, "initial")
         ikw: dict = {}
-        if "preset" in ini:
-            if not isinstance(ini["preset"], str):
-                raise ConfigError("'initial.preset' must be a string")
-            ikw["preset"] = ini["preset"]
-        if "seed" in ini:
-            if isinstance(ini["seed"], bool) or not isinstance(ini["seed"], int):
-                raise ConfigError("'initial.seed' must be an integer")
-            ikw["seed"] = ini["seed"]
-        for k in ("decay", "amplitude", "b_amplitude"):
-            if k in ini:
-                v = ini[k]
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ConfigError(f"'initial.{k}' must be a number")
-                ikw[k] = float(v)
+        _take(ini, ("preset",), str, "initial.", ikw)
+        _take(ini, ("seed",), int, "initial.", ikw)
+        _take(ini, ("decay", "amplitude", "b_amplitude"), float, "initial.", ikw)
         try:
             kwargs["initial"] = InitialCondition(**ikw)
         except ValueError as exc:

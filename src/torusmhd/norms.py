@@ -3,10 +3,12 @@
 Quadratic quantities (L2 norms, Sobolev seminorms, the W/X/Y/Z functionals)
 are evaluated exactly in coefficient space via Parseval.  General L^p norms
 sample the field on the padded evaluation grid (pad_factor*M points per
-axis) and quadrature |f|^p there.  For even integer p, |f|^p of a K-band
-field is band-limited to pK and the quadrature is exact when
-pad_factor*M > pK: |u|^6 is exact at M = 16 (K = 5) on 32 points, but not at
-M = 48 (K = 16) on 96.  Otherwise it is the documented approximation.
+axis), accumulate |f|^2 one component at a time, and quadrature |f|^p
+there.  :func:`lp_norms` serves several magnitudes built from shared
+components in one pass, sampling each component once.  For even integer p,
+|f|^p of a K-band field is band-limited to pK and the quadrature is exact
+when pad_factor*M > pK: |u|^6 is exact at M = 16 (K = 5) on 32 points, but
+not at M = 48 (K = 16) on 96.  Otherwise it is the documented approximation.
 """
 
 from __future__ import annotations
@@ -14,14 +16,15 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field as dfield
-from typing import Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .field import SpectralField
+from .field import SpectralField, sample_part
 
 __all__ = [
     "lp_norm",
+    "lp_norms",
     "l2_norm",
     "l2_inner",
     "energy",
@@ -37,24 +40,53 @@ __all__ = [
 WXYZ = namedtuple("WXYZ", ["W", "X", "Y", "Z"])
 
 
-def _magnitude(field: SpectralField, m_eval: int | None) -> np.ndarray:
-    vals = field.sample(m_eval)
-    if vals.shape[0] == 1:
-        return np.abs(vals[0])
-    return np.sqrt((vals**2).sum(axis=0))
-
-
 def lp_norm(field: SpectralField, p: float, m_eval: int | None = None) -> float:
     """L^p norm of |f| (pointwise Euclidean magnitude for vector fields).
 
     p = inf takes the collocation maximum on the evaluation grid.
     """
-    if p != math.inf and p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    mag = _magnitude(field, m_eval)
-    if p == math.inf:
-        return float(mag.max())
-    return float(field.grid.quadrature(mag**p) ** (1.0 / p))
+    parts = [("f", None, c) for c in range(field.components)]
+    return lp_norms({"f": field}, {"f": (parts, (p,))}, m_eval)["f", p]
+
+
+def lp_norms(
+    fields: Mapping[str, SpectralField],
+    request: Mapping[Hashable, tuple[Iterable[tuple], Sequence[float]]],
+    m_eval: int | None = None,
+) -> dict[tuple[Hashable, float], float]:
+    """``{(key, p): norm}`` for magnitudes built from shared parts, in one pass.
+
+    ``request`` maps a key to its parts and exponents; a part is (field name
+    in ``fields``, derivative axis or None, component).  Each distinct part is
+    sampled once, in (field, axis, component) order, with one part's samples
+    alive at a time; its square joins the |f|^2 sum of every key holding it,
+    and a sum becomes its norms as soon as its last part is in.
+    """
+    bad = [p for _parts, ps in request.values() for p in ps if not (p >= 1)]
+    if bad:
+        raise ValueError(f"p must be >= 1 or inf, got {bad[0]}")
+    holders: dict[tuple, list[Hashable]] = {}
+    for key, (parts, _ps) in request.items():
+        for part in parts:
+            holders.setdefault(part, []).append(key)
+    names = list(fields)
+    visit = sorted(holders, key=lambda q: (names.index(q[0]), -1 if q[1] is None else q[1], q[2]))
+    last = {key: part for part in visit for key in holders[part]}
+    sums: dict[Hashable, np.ndarray] = {}
+    out: dict[tuple[Hashable, float], float] = {}
+    for name, axis, comp in visit:
+        sq = sample_part(fields[name], comp, axis, m_eval)
+        sq *= sq
+        for key in holders[name, axis, comp]:
+            sums[key] = sums[key] + sq if key in sums else sq
+            if last[key] == (name, axis, comp):
+                mag, grid = np.sqrt(sums.pop(key)), fields[name].grid
+                for p in request[key][1]:
+                    out[key, p] = (
+                        float(mag.max()) if p == math.inf
+                        else float(grid.quadrature(mag**p) ** (1.0 / p))
+                    )
+    return out
 
 
 def l2_norm(field: SpectralField) -> float:
@@ -176,7 +208,7 @@ def accumulate(
         cur = series.accumulators.get(key, -math.inf)
         series.accumulators[key] = max(cur, hist[-1])
     else:
-        if r <= 0:
+        if not (r > 0):
             raise ValueError(f"exponent r must be positive or inf, got {r}")
         cur = series.accumulators.get(key, 0.0)
         if len(hist) >= 2:

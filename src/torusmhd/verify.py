@@ -29,6 +29,7 @@ from .field import (
     gradient,
     leray_project,
     partial_derivative,
+    sample_part,
     synth_random_divfree,
     synth_random_field,
     rescale_field,
@@ -145,6 +146,25 @@ def refinement_drift(coarse: VerificationReport, fine: VerificationReport) -> fl
     return abs(coarse.max - fine.max) / max(abs(fine.max), 1e-300)
 
 
+def _drift_report(
+    name: str, coarse: VerificationReport, fine: VerificationReport
+) -> VerificationReport:
+    """The refinement drift as an identity held to 5%."""
+    detail = {"coarse_max": coarse.max, "fine_max": fine.max}
+    return VerificationReport(
+        name, "identity", (refinement_drift(coarse, fine),), 5e-2, details=(detail,)
+    )
+
+
+def _pooled(
+    name: str, kind: str, threshold: float | None, reports: list[VerificationReport]
+) -> VerificationReport:
+    """One report over the samples and details of several, in order."""
+    samples = tuple(x for r in reports for x in r.samples)
+    details = tuple(d for r in reports for d in r.details)
+    return VerificationReport(name, kind, samples, threshold, details=details)
+
+
 # -- elementary inequality ----------------------------------------------------
 
 
@@ -187,9 +207,7 @@ def _bump_derivative(t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     ti = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ti * ti)) * (
-        -2.0 * ti / (1.0 - ti * ti) ** 2
-    )
+    out[inside] = _bump(ti) * (-2.0 * ti / (1.0 - ti * ti) ** 2)
     return out
 
 
@@ -388,7 +406,7 @@ def check_commutator(
         t1 = grid.sample(lap_f, m) * gs
         t2 = np.zeros_like(fs)
         for a in range(grid.dim):
-            t2 = t2 + partial_derivative(f, a).sample(m) * partial_derivative(g, a).sample(m)
+            t2 = t2 + sample_part(f, 0, a, m) * sample_part(g, 0, a, m)
         leibniz = fine.analyze(-t1 - 2.0 * t2) * fine.band_mask
         scale = max(np.abs(comm).max(), np.abs(leibniz).max(), 1e-300)
         detail["leibniz_residual"] = float(np.abs(comm - leibniz).max() / scale)
@@ -426,16 +444,8 @@ def commutator_ensemble(
     if n < 1:
         raise ValueError("ensemble size must be >= 1")
     grid = make_grid(dim, modes_per_axis)
-    ratios = []
-    details = []
-    for i in range(n):
-        f, g = band_pair(grid, seed + i)
-        rep = check_commutator(f, g, s)
-        ratios.append(rep.samples[0])
-        details.append(rep.details[0])
-    return VerificationReport(
-        f"commutator_s{s:g}_ensemble", "ratio", tuple(ratios), details=tuple(details)
-    )
+    reports = [check_commutator(*band_pair(grid, seed + i), s) for i in range(n)]
+    return _pooled(f"commutator_s{s:g}_ensemble", "ratio", None, reports)
 
 
 def commutator_leibniz_report(
@@ -443,14 +453,9 @@ def commutator_leibniz_report(
 ) -> VerificationReport:
     """The integer-order case is an exact identity; residuals are hard-gated."""
     grid = make_grid(dim, modes_per_axis)
-    residuals = []
-    for i in range(n):
-        f, g = band_pair(grid, seed + i)
-        rep = check_commutator(f, g, 2.0)
-        residuals.append(rep.details[0]["leibniz_residual"])
-    return VerificationReport(
-        "commutator_leibniz_s2", "identity", tuple(residuals), threshold=1e-11
-    )
+    reports = [check_commutator(*band_pair(grid, seed + i), 2.0) for i in range(n)]
+    residuals = tuple(r.details[0]["leibniz_residual"] for r in reports)
+    return VerificationReport("commutator_leibniz_s2", "identity", residuals, threshold=1e-11)
 
 
 # -- the anisotropic-Laplacian decomposition ----------------------------------
@@ -463,10 +468,15 @@ PROP31_MODES = ("identity_22", "identity_30_line1", "bound_20", "bound_21")
 _GAUGE_FLOOR = 1e-3
 
 
-def _derivative_samples(f: SpectralField, m: int) -> np.ndarray:
-    """First-derivative samples on m, indexed [axis][component]."""
-    # one axis at a time keeps the transform buffers at one field's size
-    return np.stack([partial_derivative(f, a).sample(m) for a in range(f.grid.dim)])
+def _samples(f: SpectralField, m: int, axes: Iterable[int | None] = (None,)) -> np.ndarray:
+    """Samples on m of f (axis None) or of its first derivatives, indexed
+    [axis][component], filled one component at a time."""
+    axes = tuple(axes)
+    out = np.empty((len(axes), f.components) + (m,) * f.grid.dim)
+    for i, a in enumerate(axes):
+        for c in range(f.components):
+            out[i, c] = sample_part(f, c, a, m)
+    return out
 
 
 class _PlaneWorkspace:
@@ -483,10 +493,11 @@ class _PlaneWorkspace:
         self.m = g.eval_modes
         self.u = u
         self.b = b
-        self.us = g.sample(u.coeffs, self.m)
-        self.bs = g.sample(b.coeffs, self.m) if b is not None else None
-        self.dus = _derivative_samples(u, self.m)
-        self.dbs = _derivative_samples(b, self.m) if b is not None else None
+        axes = range(g.dim)
+        self.us = _samples(u, self.m)[0]
+        self.bs = _samples(b, self.m)[0] if b is not None else None
+        self.dus = _samples(u, self.m, axes)
+        self.dbs = _samples(b, self.m, axes) if b is not None else None
         self._second: dict[tuple[int, int], np.ndarray] = {}
 
     def quad(self, values: np.ndarray) -> float:
@@ -586,19 +597,20 @@ def _identity_22_residual(w: _PlaneWorkspace) -> tuple[float, dict]:
     return _rel(lhs, rhs, anchor), {"lhs": lhs, "rhs": rhs}
 
 
+def _mixed_pairing(w: _PlaneWorkspace, lap12_u: np.ndarray) -> float:
+    """The three mixed velocity/magnetic terms of the in-plane pairing."""
+    lap12_b = w.plane_lap_samples(w.b)
+    return w.quad(
+        np.einsum("j...,j...->...", w.convection(w.us, w.dbs), lap12_b)
+        - np.einsum("j...,j...->...", w.convection(w.bs, w.dbs), lap12_u)
+        - np.einsum("j...,j...->...", w.convection(w.bs, w.dus), lap12_b)
+    )
+
+
 def _identity_30_residual(w: _PlaneWorkspace) -> tuple[float, dict]:
     if w.bs is None:
         raise ValueError("the mixed identity needs a magnetic field (b = 0 is fine)")
-    conv_ub = w.convection(w.us, w.dbs)
-    conv_bb = w.convection(w.bs, w.dbs)
-    conv_bu = w.convection(w.bs, w.dus)
-    lap12_u = w.plane_lap_samples(w.u)
-    lap12_b = w.plane_lap_samples(w.b)
-    lhs = w.quad(
-        np.einsum("j...,j...->...", conv_ub, lap12_b)
-        - np.einsum("j...,j...->...", conv_bb, lap12_u)
-        - np.einsum("j...,j...->...", conv_bu, lap12_b)
-    )
+    lhs = _mixed_pairing(w, w.plane_lap_samples(w.u))
     rhs = 0.0
     for k in range(2):
         for i in range(4):
@@ -629,15 +641,7 @@ def _bound_values(w: _PlaneWorkspace, which: str) -> tuple[float, float]:
     lap12_u = w.plane_lap_samples(w.u)
     lhs = w.quad(np.einsum("j...,j...->...", conv_uu, lap12_u))
     if w.bs is not None:
-        conv_ub = w.convection(w.us, w.dbs)
-        conv_bb = w.convection(w.bs, w.dbs)
-        conv_bu = w.convection(w.bs, w.dus)
-        lap12_b = w.plane_lap_samples(w.b)
-        lhs += w.quad(
-            np.einsum("j...,j...->...", conv_ub, lap12_b)
-            - np.einsum("j...,j...->...", conv_bb, lap12_u)
-            - np.einsum("j...,j...->...", conv_bu, lap12_b)
-        )
+        lhs += _mixed_pairing(w, lap12_u)
 
     grad_u = np.sqrt((w.dus**2).sum(axis=(0, 1)))
     if which == "bound_20":
@@ -689,6 +693,8 @@ def check_prop31(
         check_divfree(u, "u")
         if b is not None:
             check_divfree(b, "b")
+    if mode == "identity_30_line1" and b is None:
+        b = SpectralField.zeros(g, 4)
     w = _PlaneWorkspace(u, b)
 
     if mode == "identity_22":
@@ -700,9 +706,6 @@ def check_prop31(
             "prop31_identity_22", "identity", (worst,), 1e-10, details=(detail,)
         )
     if mode == "identity_30_line1":
-        if b is None:
-            b = SpectralField.zeros(g, 4)
-            w = _PlaneWorkspace(u, b)
         res, detail = _identity_30_residual(w)
         return VerificationReport(
             "prop31_identity_30_line1", "identity", (res,), 1e-10, details=(detail,)
@@ -730,20 +733,10 @@ def prop31_ensemble(
     mode: str, n: int, seed: int = 42, modes_per_axis: int = 16, with_b: bool = True
 ) -> VerificationReport:
     grid = make_grid(4, modes_per_axis)
-    samples: list[float] = []
-    details: list[dict] = []
-    name = ""
-    for i in range(n):
-        u, b = _random_pair(grid, seed + i, with_b)
-        rep = check_prop31(u, b, mode)
-        samples.extend(rep.samples)
-        details.extend(rep.details)
-        name = rep.name
-    threshold = 1e-10 if mode.startswith("identity") else None
-    kind = "identity" if mode.startswith("identity") else "ratio"
-    return VerificationReport(
-        name + "_ensemble", kind, tuple(samples), threshold, details=tuple(details)
-    )
+    reports = [check_prop31(*_random_pair(grid, seed + i, with_b), mode) for i in range(n)]
+    if mode.startswith("identity"):
+        return _pooled(f"prop31_{mode}_ensemble", "identity", 1e-10, reports)
+    return _pooled(f"prop31_{mode}_ensemble", "ratio", None, reports)
 
 
 def prop31_divfree_control(
@@ -830,16 +823,11 @@ def nonlinear_split_ensemble(
     n: int, seed: int = 9, modes_per_axis: int = 16
 ) -> VerificationReport:
     grid = make_grid(4, modes_per_axis)
-    samples = []
-    details = []
-    for i in range(n):
-        u = synth_random_divfree(grid, 4, seed + i, decay=3.0)
-        rep = check_nonlinear_split(u)
-        samples.extend(rep.samples)
-        details.extend(rep.details)
-    return VerificationReport(
-        "nonlinear_split_ensemble", "identity", tuple(samples), 1e-10, details=tuple(details)
-    )
+    reports = [
+        check_nonlinear_split(synth_random_divfree(grid, 4, seed + i, decay=3.0))
+        for i in range(n)
+    ]
+    return _pooled("nonlinear_split_ensemble", "identity", 1e-10, reports)
 
 
 # -- dissipative lower-bound identity -----------------------------------------
@@ -862,9 +850,9 @@ def check_dissipative_identity(
         raise ValueError("expected a scalar component field")
     g = u_comp.grid
     m = m_quad or g.eval_modes
-    us = g.sample(u_comp.coeffs, m)[0]
+    us = sample_part(u_comp, 0, m_eval=m)
     lap = g.sample(-g.k_squared[None] * u_comp.coeffs, m)[0]
-    grads = _derivative_samples(u_comp, m)[:, 0]
+    grads = _samples(u_comp, m, range(g.dim))[:, 0]
     absu = np.abs(us)
     lhs = -float(g.quadrature(lap * absu ** (p - 2.0) * us))
     rhs = (p - 1.0) * float(g.quadrature(absu ** (p - 2.0) * (grads**2).sum(axis=0)))
@@ -896,21 +884,14 @@ def dissipative_ensemble(
     dimension and cover the 4-torus.
     """
     grid = make_grid(dim, modes_per_axis)
-    samples = []
-    details = []
-    for i in range(n):
-        f = synth_random_field(grid, 1, seed + i, decay=decay)
-        rep = check_dissipative_identity(f, p, m_quad=pad * modes_per_axis)
-        samples.extend(rep.samples)
-        details.extend(rep.details)
+    reports = [
+        check_dissipative_identity(
+            synth_random_field(grid, 1, seed + i, decay=decay), p, m_quad=pad * modes_per_axis
+        )
+        for i in range(n)
+    ]
     threshold = 1e-11 if p in (2.0, 4.0) else 1e-6
-    return VerificationReport(
-        f"dissipative_identity_p{p:g}_ensemble",
-        "identity",
-        tuple(samples),
-        threshold,
-        details=tuple(details),
-    )
+    return _pooled(f"dissipative_identity_p{p:g}_ensemble", "identity", threshold, reports)
 
 
 def dissipative_analytic_quartic(modes_per_axis: int = 16) -> VerificationReport:
@@ -987,21 +968,16 @@ def check_scaling(
 def scaling_report(
     seed: int = 0, lams: tuple[int, ...] = (1, 2, 3), dims: tuple[int, ...] = (2, 4)
 ) -> VerificationReport:
-    samples = []
-    details = []
+    reports = []
     for dim in dims:
         grid = make_grid(dim, 16)
         u = synth_random_divfree(grid, dim, seed, decay=3.0)
         b = synth_random_divfree(grid, dim, seed + 1, decay=3.0, amplitude=0.6)
         for lam in lams:
             rep = check_scaling(u, b, lam)
-            samples.extend(rep.samples)
-            d = dict(rep.details[0])
-            d.update(dim=dim, lam=lam)
-            details.append(d)
-    return VerificationReport(
-        "scaling_laws", "identity", tuple(samples), 1e-11, details=tuple(details)
-    )
+            detail = {**rep.details[0], "dim": dim, "lam": lam}
+            reports.append(dataclasses.replace(rep, details=(detail,)))
+    return _pooled("scaling_laws", "identity", 1e-11, reports)
 
 
 # -- L^p pressure balance along a run -----------------------------------------
@@ -1037,12 +1013,12 @@ def _balance_terms(
 ) -> tuple[float, float, float, float]:
     g = u.grid
     m = g.eval_modes
-    us = g.sample(u.coeffs[component : component + 1], m)[0]
+    us = sample_part(u, component, m_eval=m)
     absu = np.abs(us)
     lp_pow = float(g.quadrature(absu**p))
-    grads = _derivative_samples(u.component(component), m)[:, 0]
+    grads = _samples(u.component(component), m, range(g.dim))[:, 0]
     diss = nu * (p - 1.0) * float(g.quadrature(absu ** (p - 2.0) * (grads**2).sum(axis=0)))
-    dpi = partial_derivative(pi, component).sample(m)[0]
+    dpi = sample_part(pi, 0, component, m)
     press = -float(g.quadrature(dpi * absu ** (p - 2.0) * us))
     # the Holder majorant ||d_i pi||_q ||u_i||_{(p-1)q'}^{p-1}, from the same samples
     pq = (p - 1.0) * (q / (q - 1.0))
@@ -1107,15 +1083,7 @@ def collect_lp_balance(
     if result.status != "completed":
         raise RuntimeError(f"balance run did not complete: {result.status}")
     return LpBalanceData(
-        component,
-        p,
-        q,
-        config.nu,
-        tuple(times),
-        tuple(s[0] for s in series),
-        tuple(s[1] for s in series),
-        tuple(s[2] for s in series),
-        tuple(s[3] for s in series),
+        component, p, q, config.nu, tuple(times), *map(tuple, zip(*series))
     )
 
 
@@ -1205,29 +1173,12 @@ def run_suite(suite: str, seed: int = 42, n: int = 20) -> list[VerificationRepor
         fine = make_grid(4, 32)
         base = check_troisi(windowed_ensemble(grid, seed), n)
         refined = check_troisi(windowed_ensemble(fine, seed), n)
-        drift = refinement_drift(base, refined)
         reports.append(base)
-        reports.append(
-            VerificationReport(
-                "troisi_l4_refinement_drift",
-                "identity",
-                (drift,),
-                5e-2,
-                details=({"coarse_max": base.max, "fine_max": refined.max},),
-            )
-        )
+        reports.append(_drift_report("troisi_l4_refinement_drift", base, refined))
         cbase = commutator_ensemble(min(n, 25), seed)
         cfine = commutator_ensemble(min(n, 25), seed, modes_per_axis=32)
         reports.append(cbase)
-        reports.append(
-            VerificationReport(
-                "commutator_refinement_drift",
-                "identity",
-                (refinement_drift(cbase, cfine),),
-                5e-2,
-                details=({"coarse_max": cbase.max, "fine_max": cfine.max},),
-            )
-        )
+        reports.append(_drift_report("commutator_refinement_drift", cbase, cfine))
         reports.append(prop31_ensemble("bound_20", max(3, n // 4), seed))
         reports.append(prop31_ensemble("bound_21", max(3, n // 4), seed))
         reports.append(elementary_report(10_000, seed))

@@ -92,6 +92,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "modes_per_axis" in err
+    # json reads NaN and Infinity tokens; the constructors refuse them
+    for doc in (
+        '{"nu": NaN}',
+        '{"eta": Infinity}',
+        '{"t_end": Infinity}',
+        '{"side_length": Infinity}',
+        '{"initial": {"amplitude": NaN}}',
+    ):
+        bad.write_text(doc)
+        assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "must be" in capsys.readouterr().err
 
 
 def test_missing_config_exits_4(tmp_path, capsys):

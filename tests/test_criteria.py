@@ -15,6 +15,7 @@ from torusmhd.criteria import (
     monitor_update,
     monitored_components,
     monitored_field,
+    monitored_norms,
     p_label,
 )
 from torusmhd.field import (
@@ -200,6 +201,26 @@ def test_monitored_field_errors(grid4):
         monitored_field("dpi3", u, None, None)
     with pytest.raises(ValueError, match="unknown"):
         monitored_field("vorticity", u, None)
+
+
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3", "grid4"])
+def test_monitored_norms_match_batched_reference(grid_name, request):
+    g = request.getfixturevalue(grid_name)
+    u = synth_random_divfree(g, g.dim, seed=3)
+    b = synth_random_divfree(g, g.dim, seed=4)
+    pi = synth_random_field(g, 1, seed=5)
+    tags = ["u", "b", "grad_u", "grad_b", "grad_pi"]
+    if g.dim == 4:
+        tags += ["u3", "grad_u4", "dpi3"]
+    exponents = (2.0, 3.5, 6.0, INF)
+    got = monitored_norms({t: exponents for t in tags}, u, b, pi)
+    assert set(got) == {(t, p) for t in tags for p in exponents}
+    for t in tags:
+        vals = monitored_field(t, u, b, pi).sample()
+        mag = np.sqrt((vals**2).sum(axis=0))
+        for p in exponents:
+            want = mag.max() if p == INF else g.quadrature(mag**p) ** (1.0 / p)
+            assert got[t, p] == pytest.approx(want, rel=1e-14, abs=0.0), (t, p)
 
 
 # ------------------------------------------------------------------ monitor

@@ -398,6 +398,37 @@ def test_compute_record_free_axes():
     assert pi is None
 
 
+def test_compute_record_samples_each_part_once(monkeypatch):
+    g = make_grid(4, 8)
+    u, b = mhd_pair(g, 6)
+    cfg = SimConfig(
+        dim=4,
+        modes_per_axis=8,
+        criteria=(
+            CriterionSpec(Theorem.T1_4, smallness=True),
+            CriterionSpec(Theorem.T1_5, pairs=(("dpi3", (3, 2)), ("dpi4", (3, 2)))),
+        ),
+        monitor_bootstrap=True,
+    )
+    calls = []
+    sample = Grid.sample
+
+    def counting(self, coeffs, m_eval=None):
+        calls.append((coeffs.shape[0], m_eval or self.eval_modes))
+        return sample(self, coeffs, m_eval)
+
+    monkeypatch.setattr(Grid, "sample", counting)
+    compute_record(u, b, cfg)
+    # L^p samples live on the evaluation grid; the pressure solve samples
+    # u and b once each on the product grid
+    lp_calls = [lead for lead, m in calls if m == g.eval_modes]
+    assert set(lp_calls) == {1}
+    # 16 derivatives of u (grad_u3, grad_u4, gradu_LN), 16 of b (grad_b,
+    # gradb_LN) and the two pressure partials
+    assert len(lp_calls) == 16 + 16 + 2
+    assert [c for c in calls if c[1] != g.eval_modes] == [(4, 8), (4, 8)]
+
+
 def test_simulate_flags_divergence():
     cfg = SimConfig(
         dim=2,

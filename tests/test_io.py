@@ -288,6 +288,11 @@ def test_config_rejects_unknown_keys():
         ({"modes_per_axis": 7}, "modes_per_axis"),
         ({"side_length": -1}, "side_length"),
         ({"initial": {"preset": "random_divfree", "seed": -1}}, "seed"),
+        ({"nu": math.nan}, "nu"),
+        ({"eta": math.inf}, "eta"),
+        ({"t_end": math.inf}, "t_end"),
+        ({"side_length": math.inf}, "side_length"),
+        ({"initial": {"amplitude": math.nan}}, "amplitude"),
     ],
 )
 def test_config_rejects_bad_values(doc, msg):

@@ -45,6 +45,16 @@ def test_lp_norm_odd_exponent_brute_force(grid2):
     assert lp_norm(f, p) == pytest.approx(want, rel=1e-6)
 
 
+def test_nan_exponents_are_refused(grid2):
+    f = synth_random_field(grid2, 2, seed=4)
+    with pytest.raises(ValueError, match="p must be"):
+        lp_norm(f, float("nan"))
+    s = NormSeries()
+    s.record(0.0, {"f": 1.0})
+    with pytest.raises(ValueError, match="exponent r"):
+        accumulate(s, "f", float("nan"), 0.0)
+
+
 def test_l2_norm_parseval_equivalence(grid3):
     f = synth_random_field(grid3, 3, seed=6)
     assert l2_norm(f) == pytest.approx(lp_norm(f, 2), rel=1e-12)
