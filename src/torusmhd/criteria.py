@@ -212,8 +212,10 @@ def _parts(tag: str, fields: dict, free_axes: tuple[int, int]) -> tuple[tuple, .
     name, axis, comp = _PARTS[tag]
     if fields[name] is None:
         raise ValueError(f"monitored quantity '{tag}' requires {_SOURCES[name]}")
-    every = range(fields[name].grid.dim)
-    pick = {None: (None,), 0: (0,), "*": every, "3": free_axes[:1], "4": free_axes[1:]}
+    dim = fields[name].grid.dim
+    pick = {None: (None,), 0: (0,), "*": range(dim), "3": free_axes[:1], "4": free_axes[1:]}
+    if any(not 0 <= a < dim for k in {axis, comp} & {"3", "4"} for a in pick[k]):
+        raise ValueError(f"monitored quantity '{tag}' picks a free axis outside dimension {dim}")
     return tuple((name, a, c) for a in pick[axis] for c in pick[comp])
 
 

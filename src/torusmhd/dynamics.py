@@ -78,8 +78,8 @@ class MhdState:
             if not np.all(np.isfinite(f.coeffs)):
                 raise ValueError(f"{name} has non-finite coefficients")
             check_divfree(f, name)
-        if self.nu < 0 or self.eta < 0:
-            raise ValueError("diffusivities must be non-negative")
+        if not (0 <= self.nu < math.inf and 0 <= self.eta < math.inf):
+            raise ValueError("diffusivities must be finite and non-negative")
 
     @property
     def grid(self) -> Grid:

@@ -12,6 +12,7 @@ Coefficient convention: a real field is represented by complex coefficients
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,16 +56,15 @@ class Grid:
         Physical period L of every axis.
     band_limit : int
         Retained band K: coefficients vanish unless |k_a| <= K for all axes.
-    pad_factor : int
-        Refinement of the evaluation grid used for pointwise products and
-        non-quadratic quadrature.
+
+    Products and quadratures polynomial in the coefficients are evaluated
+    on :meth:`alias_free_modes` for their degree, the rest on :attr:`eval_modes`.
     """
 
     dim: int
     modes_per_axis: int
     side_length: float = TWO_PI
     band_limit: int = 0
-    pad_factor: int = 2
 
     def __post_init__(self):
         if self.dim < 1:
@@ -79,8 +79,6 @@ class Grid:
             object.__setattr__(self, "band_limit", self.modes_per_axis // 3)
         if self.band_limit < 1:
             raise ValueError(f"band_limit must be >= 1, got {self.band_limit}")
-        if self.pad_factor < 1:
-            raise ValueError(f"pad_factor must be >= 1, got {self.pad_factor}")
 
     # -- derived geometry -------------------------------------------------
 
@@ -94,7 +92,9 @@ class Grid:
 
     @property
     def eval_modes(self) -> int:
-        return self.pad_factor * self.modes_per_axis
+        """The fixed 2M grid for what is not a polynomial in the coefficients:
+        L^p magnitudes, sups, and outside functions sampled for projection."""
+        return 2 * self.modes_per_axis
 
     def alias_free_modes(self, degree: int, band: int) -> int:
         """Smallest even fast FFT size m >= M on which a product of ``degree``
@@ -231,17 +231,15 @@ class Grid:
         return float(out) if np.ndim(out) == 0 else out
 
     def with_side_length(self, side_length: float) -> "Grid":
-        return Grid(
-            self.dim, self.modes_per_axis, side_length, self.band_limit, self.pad_factor
-        )
+        return dataclasses.replace(self, side_length=side_length)
 
 
 def make_grid(dim: int, modes_per_axis: int, side_length: float = TWO_PI) -> Grid:
     """Validated grid constructor.
 
-    The band limit is fixed at ``floor(M/3)`` so that triple products of
-    band-limited fields stay below the sampling resolution of the default
-    evaluation grid and their quadrature is exact.
+    The band limit is fixed at ``floor(M/3)``, so the 3/2 rule of
+    :meth:`Grid.alias_free_modes` keeps quadratic products on M points
+    whenever 3K < M, and the quadrature of a cubic on 3K + 1.
     """
     if dim not in (2, 3, 4):
         raise ValueError(f"dim must be one of 2, 3, 4, got {dim}")

@@ -130,8 +130,10 @@ def _read_header(path: Path) -> tuple[int, int, int, float, float, float, float]
         raise SnapshotFormatError(f"{path}: dimension {dim} out of range")
     if m < 8 or m % 2:
         raise SnapshotFormatError(f"{path}: modes per axis {m} invalid")
-    if count < 1 or not (side > 0):
+    if count < 1 or not (0 < side < math.inf):
         raise SnapshotFormatError(f"{path}: invalid component count or side length")
+    if not math.isfinite(time):
+        raise SnapshotFormatError(f"{path}: non-finite time {time!r}")
     return dim, m, count, side, time, nu, eta
 
 

@@ -2,13 +2,18 @@
 
 Quadratic quantities (L2 norms, Sobolev seminorms, the W/X/Y/Z functionals)
 are evaluated exactly in coefficient space via Parseval.  General L^p norms
-sample the field on the padded evaluation grid (pad_factor*M points per
-axis), accumulate |f|^2 one component at a time, and quadrature |f|^p
-there.  :func:`lp_norms` serves several magnitudes built from shared
+sample the field on the fixed oversampled grid ``Grid.eval_modes`` (2M
+points per axis), accumulate |f|^2 one component at a time, and quadrature
+|f|^p there.  :func:`lp_norms` serves several magnitudes built from shared
 components in one pass, sampling each component once.  For even integer p,
 |f|^p of a K-band field is band-limited to pK and the quadrature is exact
-when pad_factor*M > pK: |u|^6 is exact at M = 16 (K = 5) on 32 points, but
-not at M = 48 (K = 16) on 96.  Otherwise it is the documented approximation.
+when 2M > pK: |u|^6 is exact at M = 16 (K = 5) on 32 points, but not at
+M = 48 (K = 16) on 96.  Otherwise it is the documented approximation.
+
+It is not sized per exponent by ``Grid.alias_free_modes(p, 0)``: rounding
+p = 3 up to degree 4 moves ``gradu_LN`` by up to 9.2e-9 relative, past the
+1e-9 that ``perfbench/reference.json`` (computed on 2M) is checked to, and
+degree 8 at M = 32 would need 84 > 64 points.
 """
 
 from __future__ import annotations

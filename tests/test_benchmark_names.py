@@ -10,7 +10,10 @@ import importlib.util
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from torusmhd.grid import make_grid
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -42,3 +45,16 @@ def test_traced_names_are_public_functions(spans):
         fn = getattr(mod, attr)
         assert isinstance(fn, types.FunctionType), f"{qual} is not a function"
         assert fn.__module__ == mod.__name__, f"{qual} is defined elsewhere"
+
+
+def test_transform_extras_read_the_grid(spans):
+    # the traced run sizes every transform through these; a grid attribute
+    # they read going away must fail here, not only under tracing
+    g = make_grid(4, 8)
+    coeffs = np.zeros((3,) + g.shape, dtype=complex)
+    assert spans._sample_extra((g, coeffs), {}) == [16**4, 3]
+    assert spans._sample_extra((g, coeffs, 10), {}) == [10**4, 3]
+    assert spans._sample_extra((g, coeffs), {"m_eval": 12}) == [12**4, 3]
+    values = np.zeros((2,) + (12,) * 4)
+    assert spans._analyze_extra((g, values), {}) == [12**4, 2]
+    assert spans._analyze_extra((g, values[0]), {}) == [12**4, 1]

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,24 @@ def test_monitor_rejects_duplicate_snapshot_times(tmp_path, capsys):
     assert code == cli.EXIT_IO
     err = capsys.readouterr().err
     assert "state_00000002.spc4" in err and "state_00000009.spc4" in err
+
+
+def test_monitor_refuses_nan_header_fields(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "run.json")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    snap = out / "state_00000002.spc4"
+    good = snap.read_bytes()
+    # the header's doubles after magic and four counts: side, time, nu, eta
+    for slot, name in ((1, "time"), (2, "diffusivities")):
+        raw = bytearray(good)
+        struct.pack_into("<d", raw, struct.calcsize("<4s4I") + 8 * slot, math.nan)
+        snap.write_bytes(bytes(raw))
+        code = cli.main(["monitor", "--in", str(out), "--spec", str(cfg_path)])
+        assert code == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "state_00000002.spc4" in err and name in err
+    assert not (out / "replay.csv").exists()
 
 
 def test_monitor_without_snapshots_exits_2(tmp_path, capsys):

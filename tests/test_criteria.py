@@ -203,6 +203,16 @@ def test_monitored_field_errors(grid4):
         monitored_field("vorticity", u, None)
 
 
+def test_free_axes_must_fit_the_dimension(grid3):
+    u = synth_random_divfree(grid3, 3, seed=3)
+    assert monitored_field("u3", u, None).components == 1
+    for tag in ("u4", "grad_u4"):
+        with pytest.raises(ValueError, match=f"'{tag}'.*dimension 3"):
+            monitored_field(tag, u, None)
+    with pytest.raises(ValueError, match="'u4'.*dimension 3"):
+        monitored_norms({"u4": (2.0,)}, u, None)
+
+
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3", "grid4"])
 def test_monitored_norms_match_batched_reference(grid_name, request):
     g = request.getfixturevalue(grid_name)

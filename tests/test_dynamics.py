@@ -47,6 +47,9 @@ def test_state_validation(grid2):
         MhdState(SpectralField(grid2, bad), z)
     with pytest.raises(ValueError, match="non-negative"):
         MhdState(u, z, nu=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-negative"):
+            MhdState(u, z, nu=bad)
     assert not MhdState(u, z).has_b
     assert MhdState(u, u).has_b
 

@@ -22,7 +22,7 @@ def test_make_grid_validation():
 
 def test_raw_grid_allows_debug_bands():
     # the raw constructor is the escape hatch for deliberately aliased grids
-    g = Grid(2, 16, 2 * np.pi, 7, 1)
+    g = Grid(2, 16, 2 * np.pi, 7)
     assert g.band_limit == 7
     with pytest.raises(ValueError):
         Grid(2, 16, 2 * np.pi, -1)
@@ -108,6 +108,8 @@ def test_fft_workers_roundtrip():
         (16, 2, 5, 16),
         (16, 2, 10, 22),
         (16, 4, 0, 22),
+        (16, 3, 0, 16),
+        (12, 3, 0, 14),
         (12, 2, 4, 14),
         (48, 2, 16, 50),
     ],
@@ -137,15 +139,20 @@ def test_alias_free_modes_are_exact(dim, m):
     ref_m = 4 * m
     for band in (k, 2 * k):
         size = g.alias_free_modes(2, band)
-        fine = Grid(dim, size, g.side_length, band, 1)
+        fine = Grid(dim, size, g.side_length, band)
         got = fine.analyze(g.sample(a, size) * g.sample(b, size)) * fine.band_mask
-        ref = Grid(dim, ref_m, g.side_length, band, 1)
+        ref = Grid(dim, ref_m, g.side_length, band)
         want = ref.analyze(g.sample(a, ref_m) * g.sample(b, ref_m)) * ref.band_mask
         assert np.abs(fine.scatter(got, ref_m) - want).max() < 1e-13 * np.abs(want).max()
     size = g.alias_free_modes(4, 0)
     quartic = g.quadrature((g.sample(a, size) * g.sample(b, size)) ** 2)
     exact = g.quadrature((g.sample(a, ref_m) * g.sample(b, ref_m)) ** 2)
     assert quartic == pytest.approx(exact, rel=1e-13)
+    c = _banded(g, 5)
+    size = g.alias_free_modes(3, 0)
+    cubic = g.quadrature(g.sample(a, size) * g.sample(b, size) * g.sample(c, size))
+    exact = g.quadrature(g.sample(a, ref_m) * g.sample(b, ref_m) * g.sample(c, ref_m))
+    assert cubic == pytest.approx(exact, rel=1e-13)
     if 3 * k >= m:
         # the base grid itself aliases the stress back into the band
         prod = g.analyze(g.sample(a, m) * g.sample(b, m)) * g.band_mask

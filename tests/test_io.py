@@ -113,6 +113,14 @@ def test_snapshot_errors_name_the_file(tmp_path):
     with pytest.raises(tio.SnapshotFormatError, match="modes per axis 7"):
         tio.read_snapshot(p)
 
+    p.write_bytes(header_bytes(side=math.inf) + b"\0" * 4096)
+    with pytest.raises(tio.SnapshotFormatError, match="side length"):
+        tio.read_snapshot(p)
+
+    p.write_bytes(header_bytes(time=math.nan) + b"\0" * 4096)
+    with pytest.raises(tio.SnapshotFormatError, match="non-finite time"):
+        tio.read_snapshot(p)
+
     p.write_bytes(header_bytes() + b"\0" * 64)  # wrong payload size
     with pytest.raises(tio.SnapshotFormatError, match="payload"):
         tio.read_snapshot(p)
@@ -135,6 +143,17 @@ def test_read_state_snapshot_needs_full_state(grid2, tmp_path):
     path = tmp_path / "state_00000001.spc4"
     tio.write_scalar_snapshot(path, f, time=0.0)
     with pytest.raises(tio.SnapshotFormatError, match="components"):
+        tio.read_state_snapshot(path)
+
+
+def test_state_snapshot_refuses_nan_diffusivity(grid2, tmp_path):
+    path = tmp_path / tio.state_filename(0)
+    tio.write_state_snapshot(path, small_state(grid2))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, struct.calcsize("<4s4I2d"), math.nan)  # nu
+    path.write_bytes(bytes(raw))
+    assert math.isnan(tio.read_snapshot(path).nu)
+    with pytest.raises(ValueError, match="diffusivities"):
         tio.read_state_snapshot(path)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from torusmhd.dynamics import InitialCondition, taylor_green_state
 from torusmhd.field import synth_random_divfree, synth_random_field
-from torusmhd.grid import make_grid
+from torusmhd.grid import Grid, make_grid
 from torusmhd.norms import l2_norm
 from torusmhd.verify import (
     LpBalanceData,
@@ -211,6 +211,32 @@ def test_nonlinear_split_identity(grid4):
     rep = check_nonlinear_split(u)
     assert rep.passed
     assert rep.max < 1e-10
+
+
+def test_exact_quadratures_sample_on_the_rule(monkeypatch):
+    g = make_grid(4, 16)
+    u = synth_random_divfree(g, 4, seed=1)
+    b = synth_random_divfree(g, 4, seed=2, amplitude=0.7)
+    f = synth_random_field(g, 1, seed=3)
+    sizes = []
+    sample = Grid.sample
+
+    def recording(self, coeffs, m_eval=None):
+        sizes.append(m_eval or self.eval_modes)
+        return sample(self, coeffs, m_eval)
+
+    monkeypatch.setattr(Grid, "sample", recording)
+    # the cubic identities and the split, on 3K + 1 = 16 points
+    reports = [check_prop31(u, b, mode) for mode in ("identity_22", "identity_30_line1")]
+    reports.append(check_nonlinear_split(u))
+    assert set(sizes) == {g.alias_free_modes(3, 0)} == {16}
+    for p in (2.0, 4.0):
+        sizes.clear()
+        rep = check_dissipative_identity(f, p)
+        reports.append(rep)
+        assert set(sizes) == {g.alias_free_modes(int(p), 0)}
+        assert rep.details[0]["m_quad"] == g.alias_free_modes(int(p), 0)
+    assert all(r.passed for r in reports), [r.summary() for r in reports]
 
 
 # ------------------------------------------------------ dissipative identity
