@@ -1,15 +1,17 @@
 """Command-line front end: simulate, verify, monitor.
 
-Exit codes are part of the contract: 0 success, 2 configuration error,
-3 diverged run, 4 I/O error (including a malformed snapshot, or two
-snapshots in one directory that hold the same time), 5 verification
-failure.  argparse usage errors also exit 2, which is the
-configuration-error code on purpose.
+Exit codes are part of the contract: 0 success, 2 configuration error
+(including a monitor spec whose grid or diffusivities differ from a
+snapshot's), 3 diverged run, 4 I/O error (including a malformed snapshot,
+one whose fields break an invariant, or two snapshots in one directory that
+hold the same time), 5 verification failure.  argparse usage errors also
+exit 2, which is the configuration-error code on purpose.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -98,8 +100,8 @@ def cmd_simulate(args) -> int:
     print(f"records: {len(result.series)}")
     print(f"energy: {result.ledger.current_energy!r}")
     print(f"defect: {result.ledger.defect!r}")
-    for st in result.monitor_statuses:
-        print(f"criterion {st.spec.label}: {st.verdict}")
+    for label, verdict in result.verdicts.items():
+        print(f"criterion {label}: {verdict}")
     print(f"wrote {out / tio.SERIES_NAME} and {out / tio.MANIFEST_NAME}")
     return EXIT_OK if result.status == "completed" else EXIT_DIVERGED
 
@@ -116,16 +118,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _load_state(path: Path) -> MhdState:
-    try:
-        return tio.read_state_snapshot(path)
-    except tio.SnapshotFormatError:
-        raise
-    except ValueError as exc:
-        # field-level invariant failures get the file name attached
-        raise tio.SnapshotFormatError(f"{path}: {exc}") from None
-
-
 def cmd_monitor(args) -> int:
     spec_cfg = tio.load_config(args.spec)
     indir = Path(args.indir)
@@ -137,13 +129,18 @@ def cmd_monitor(args) -> int:
     recorder = Recorder(spec_cfg)
     ledger: EnergyLedger | None = None
     for t, path in snaps:
-        state = _load_state(path)
+        state = tio.read_state_snapshot(path)
         g = state.grid
         if g != spec_grid:
             raise tio.ConfigError(
                 f"{path}: snapshot grid {g.dim}x{g.modes_per_axis} of side "
                 f"{g.side_length!r} does not match the spec's "
                 f"{spec_grid.dim}x{spec_grid.modes_per_axis} of side {spec_grid.side_length!r}"
+            )
+        if (state.nu, state.eta) != (spec_cfg.nu, spec_cfg.eta):
+            raise tio.ConfigError(
+                f"{path}: snapshot diffusivities nu={state.nu!r}, eta={state.eta!r} "
+                f"do not match the spec's nu={spec_cfg.nu!r}, eta={spec_cfg.eta!r}"
             )
         e = energy(state.u, state.b if state.has_b else None)
         if ledger is None:
@@ -155,13 +152,11 @@ def cmd_monitor(args) -> int:
     tio.write_series_csv(replay_csv, spec_cfg, recorder.series, recorder.history)
     print(f"replayed {len(snaps)} snapshots from {indir}")
     print(f"defect: {ledger.defect!r}")
-    for st in recorder.statuses:
-        finite = "finite" if st.finite else "DIVERGENT"
-        vals = "  ".join(
-            f"{st.spec.accumulator_key(c)}={st.accumulators[c]!r}"
-            for c, _ in st.spec.pairs
-        )
-        print(f"criterion {st.spec.label}: accumulators {finite}  {vals}")
+    for spec in spec_cfg.criteria:
+        acc = spec.accumulated(recorder.series)
+        finite = "finite" if all(map(math.isfinite, acc.values())) else "DIVERGENT"
+        vals = "  ".join(f"{key}={v!r}" for key, v in acc.items())
+        print(f"criterion {spec.label}: accumulators {finite}  {vals}")
     if spec_cfg.monitor_bootstrap:
         print(f"bootstrap_trigger: {bootstrap_trigger(recorder.series)!r}")
     print(f"wrote {replay_csv}")

@@ -9,7 +9,7 @@ The convention 1/inf = 0 applies throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -17,17 +17,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .field import SpectralField, partial_derivative
-from .norms import NormSeries, accumulate, lp_norms, wxyz
+from .norms import NormSeries, lp_norms, wxyz
 
 __all__ = [
     "Theorem",
     "CriterionSpec",
-    "MonitorStatus",
     "admissible",
-    "monitor_update",
     "bootstrap_trigger",
     "gronwall_rhs",
-    "monitored_components",
     "monitored_field",
     "monitored_norms",
     "SPLIT_TAGS",
@@ -81,10 +78,6 @@ SPLIT_TAGS = frozenset(t for t, (_f, a, c) in _PARTS.items() if {a, c} & {"3", "
 _CLASSICAL = frozenset(
     {Theorem.CLASSICAL_U, Theorem.CLASSICAL_GRADU, Theorem.CLASSICAL_GRADPI}
 )
-
-
-def monitored_components(theorem: Theorem) -> tuple[str, ...]:
-    return _COMPONENTS[theorem]
 
 
 def _as_frac(x) -> Fraction | float:
@@ -200,6 +193,11 @@ class CriterionSpec:
     def accumulator_key(self, comp: str) -> str:
         return f"acc_{self.label}_{comp}"
 
+    def accumulated(self, series: NormSeries) -> dict[str, float]:
+        """This criterion's accumulator values in ``series``, by accumulator key."""
+        keys = [self.accumulator_key(c) for c, _ in self.pairs]
+        return {k: series.accumulators[k] for k in keys}
+
     @property
     def needs_pressure(self) -> bool:
         return any(c in _PRESSURE_TAGS for c, _ in self.pairs)
@@ -251,50 +249,6 @@ def monitored_norms(
     fields = {"u": u, "b": b, "pi": pi}
     parts = {tag: (_parts(tag, fields, free_axes), ps) for tag, ps in request.items()}
     return lp_norms({k: f for k, f in fields.items() if f is not None}, parts)
-
-
-@dataclass
-class MonitorStatus:
-    """Running view of one criterion along a simulation."""
-
-    spec: CriterionSpec
-    accumulators: dict = dfield(default_factory=dict)
-    sup_values: dict = dfield(default_factory=dict)
-    verdict: str = "tracking"
-
-    @classmethod
-    def for_spec(cls, spec: CriterionSpec) -> "MonitorStatus":
-        return cls(
-            spec,
-            {c: 0.0 for c, _ in spec.pairs},
-            {c: -math.inf for c, _ in spec.pairs},
-        )
-
-    @property
-    def finite(self) -> bool:
-        return all(math.isfinite(v) for v in self.accumulators.values())
-
-
-def monitor_update(
-    status: MonitorStatus, series: NormSeries, dt: float
-) -> MonitorStatus:
-    """Advance a criterion's accumulators from the latest series record.
-
-    The series must already hold the L^p norm tags for the spec; a missing
-    tag is a configuration error naming the offender.
-    """
-    spec = status.spec
-    for comp, (p, r) in spec.pairs:
-        tag = spec.norm_tag(comp)
-        if tag not in series.records:
-            raise ValueError(
-                f"series is missing tag '{tag}' required by {spec.label}"
-            )
-        key = spec.accumulator_key(comp)
-        val = accumulate(series, tag, r, dt, key=key)
-        status.accumulators[comp] = val
-        status.sup_values[comp] = max(status.sup_values[comp], series.value(tag))
-    return status
 
 
 BOOTSTRAP_TAGS = ("gradu_LN", "gradb_LN")

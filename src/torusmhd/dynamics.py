@@ -25,8 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .criteria import BOOTSTRAP_TAGS, SPLIT_TAGS, CriterionSpec, MonitorStatus
-from .criteria import monitor_update, monitored_norms
+from .criteria import BOOTSTRAP_TAGS, SPLIT_TAGS, CriterionSpec, monitored_norms
 from .field import SpectralField, check_divfree, _leray_raw
 from .grid import Grid, make_grid
 from .norms import EnergyLedger, NormSeries, accumulate, energy, lp_norm, wxyz
@@ -582,20 +581,19 @@ def accumulator_columns(config: SimConfig) -> tuple[tuple[str, str, float], ...]
 class Recorder:
     """The record, accumulate and history loop of a live run and of a replay.
 
-    Owns the series, the criterion statuses, the per-record history (the
-    ledger's dissipation integral and defect, then every accumulator column)
-    and the last record time.  The ledger stays with the caller, since a live
-    run and a replay advance it differently; :meth:`record` only reads it.
+    Owns the series, whose ``accumulators`` are the one store of every
+    criterion and bootstrap integral, the per-record history (the ledger's
+    dissipation integral and defect, then every accumulator column) and the
+    last record time.  The ledger stays with the caller, since a live run and
+    a replay advance it differently; :meth:`record` only reads it.
     """
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.series = NormSeries()
-        self.statuses = [MonitorStatus.for_spec(s) for s in config.criteria]
-        self.columns = tuple(key for key, _tag, _r in accumulator_columns(config))
-        self.history: dict[str, list[float]] = {
-            key: [] for key in ("dissipation_integral", "defect") + self.columns
-        }
+        self.columns = accumulator_columns(config)
+        keys = ("dissipation_integral", "defect") + tuple(key for key, _t, _r in self.columns)
+        self.history: dict[str, list[float]] = {key: [] for key in keys}
         self.last_time: float | None = None
 
     def dt_to(self, t: float) -> float:
@@ -615,16 +613,11 @@ class Recorder:
         # initial value; integral accumulators start moving from the
         # second record
         dt_rec = self.dt_to(t)
-        if self.config.monitor_bootstrap:
-            for tag in BOOTSTRAP_TAGS:
-                accumulate(self.series, tag, 2.0, dt_rec, key=f"acc_bootstrap_{tag}")
-        for status in self.statuses:
-            monitor_update(status, self.series, dt_rec)
         self.last_time = t
         self.history["dissipation_integral"].append(ledger.dissipation_integral)
         self.history["defect"].append(ledger.defect)
-        for key in self.columns:
-            self.history[key].append(self.series.accumulators[key])
+        for key, tag, r in self.columns:
+            self.history[key].append(accumulate(self.series, tag, r, dt_rec, key=key))
         return pi
 
 
@@ -638,7 +631,8 @@ class SimResult:
     series: NormSeries
     ledger: EnergyLedger
     ledger_history: dict[str, list[float]]
-    monitor_statuses: list[MonitorStatus]
+    # criterion label -> "accumulators_finite", "accumulator_divergent" or "diverged"
+    verdicts: dict[str, str]
     final_state: MhdState
     states: list[tuple[float, MhdState, SpectralField | None]]
 
@@ -691,18 +685,13 @@ def simulate(
         state = replace(state, time=(n + 1) * config.dt)
         ledger.advance(energy(state.u, state.b if state.has_b else None), dinc)
 
-    for st in recorder.statuses:
-        st.verdict = "diverged" if status == "diverged" else "accumulators_finite"
-        if status != "diverged" and not st.finite:
-            st.verdict = "accumulator_divergent"
+    verdicts = {}
+    for spec in config.criteria:
+        finite = all(map(math.isfinite, spec.accumulated(recorder.series).values()))
+        verdicts[spec.label] = (
+            "diverged" if status == "diverged"
+            else "accumulators_finite" if finite else "accumulator_divergent"
+        )
     return SimResult(
-        status,
-        config,
-        grid,
-        recorder.series,
-        ledger,
-        recorder.history,
-        recorder.statuses,
-        state,
-        states,
+        status, config, grid, recorder.series, ledger, recorder.history, verdicts, state, states
     )

@@ -9,7 +9,6 @@ field onto the shrunken torus without touching its integer mode content.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "gradient",
     "partial_derivative",
     "sample_part",
-    "field_from_function",
 ]
 
 _HERMITIAN_TOL = 1e-12
@@ -40,8 +38,8 @@ class SpectralField:
 
     ``coeffs`` has shape ``(components,) + (M,)*dim`` in FFT layout.  The
     named constructors guarantee Hermitian symmetry and the band limit;
-    :meth:`validate` re-checks both for data arriving from outside
-    (snapshots, hand-built arrays).
+    :meth:`validate` re-checks both at the io boundary, on every field
+    :func:`torusmhd.io.read_state_snapshot` loads.
     """
 
     grid: Grid
@@ -83,24 +81,26 @@ class SpectralField:
     def sample(self, m_eval: int | None = None) -> np.ndarray:
         return self.grid.sample(self.coeffs, m_eval)
 
-    def mean(self) -> np.ndarray:
-        return self.coeffs[(slice(None),) + (0,) * self.grid.dim].real.copy()
-
     def validate(self, tol: float = _HERMITIAN_TOL) -> None:
-        """Raise if the invariants (real field, band limit, finite) fail."""
+        """Raise if the invariants (real field, band limit, finite) fail.
+
+        Checks one component at a time against the whole field's scale, so
+        the temporaries stay at one component's size.
+        """
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("field coefficients contain non-finite entries")
-        scale = np.abs(self.coeffs).max() or 1.0
-        herm = np.abs(self.coeffs - self.grid.conj_reversed(self.coeffs)).max()
-        if herm > tol * scale:
-            raise ValueError(
-                f"field is not Hermitian-symmetric (defect {herm:.3e}, scale {scale:.3e})"
-            )
-        outside = np.abs(self.coeffs * ~self.grid.band_mask).max()
-        if outside > tol * scale:
-            raise ValueError(
-                f"field has content outside the band limit (max {outside:.3e})"
-            )
+        scale = max(float(np.abs(c).max()) for c in self.coeffs) or 1.0
+        for c in self.coeffs:
+            herm = np.abs(c - self.grid.conj_reversed(c)).max()
+            if herm > tol * scale:
+                raise ValueError(
+                    f"field is not Hermitian-symmetric (defect {herm:.3e}, scale {scale:.3e})"
+                )
+            outside = np.abs(c * ~self.grid.band_mask).max()
+            if outside > tol * scale:
+                raise ValueError(
+                    f"field has content outside the band limit (max {outside:.3e})"
+                )
 
     # -- arithmetic -------------------------------------------------------
 
@@ -169,7 +169,7 @@ def leray_project(field: SpectralField) -> SpectralField:
 def check_divfree(field: SpectralField, name: str) -> None:
     """Raise unless the divergence vanishes to rounding, relative to kmax * max|c|."""
     g = field.grid
-    div = sum(g.wave_axes[a] * field.coeffs[a] for a in range(g.dim))
+    div = divergence(field).coeffs
     scale = float(np.abs(field.coeffs).max())
     kmax = 2 * np.pi * g.band_limit / g.side_length
     bound = _DIVFREE_TOL * max(kmax * scale, 1e-30)
@@ -248,22 +248,8 @@ def synth_random_divfree(
 
     Requires one component per axis so the per-mode projection applies.
     """
-    if components != grid.dim:
-        raise ValueError(
-            f"divergence-free synthesis needs components == dim, got "
-            f"{components} on a dim-{grid.dim} grid"
-        )
-    coeffs = _leray_raw(grid, _shaped_noise(grid, components, seed, decay))
+    noise = _shaped_noise(grid, components, seed, decay)
+    coeffs = leray_project(SpectralField(grid, noise)).coeffs
+    del noise  # freed before normalizing: on small runs this draw sets the peak RSS
     return SpectralField(grid, _normalized(grid, coeffs, amplitude))
 
-
-def field_from_function(
-    grid: Grid, fn: Callable[..., np.ndarray], components: int = 1
-) -> SpectralField:
-    """Sample ``fn(x1, ..., xd)`` (returning (components, ...) values) on the
-    evaluation grid and band-project.  Convenience for analytic test fields."""
-    xs = grid.coordinates(grid.eval_modes)
-    vals = np.asarray(fn(*xs), dtype=float)
-    target = (components,) + (grid.eval_modes,) * grid.dim
-    vals = np.broadcast_to(vals, target) if vals.shape != target else vals
-    return SpectralField.from_samples(grid, vals)

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 import scipy.fft as sfft
 
-__all__ = ["Grid", "make_grid", "set_fft_workers", "fft_workers"]
+__all__ = ["Grid", "make_grid", "set_fft_workers"]
 
 TWO_PI = 2.0 * np.pi
 
@@ -31,10 +31,6 @@ def set_fft_workers(n: int | None) -> None:
     """Set the FFT worker-thread count (None or <=0 means all cores)."""
     global _FFT_WORKERS
     _FFT_WORKERS = n if n and n > 0 else -1
-
-
-def fft_workers() -> int:
-    return _FFT_WORKERS
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ __all__ = [
     "ConfigError",
     "Snapshot",
     "write_state_snapshot",
-    "write_scalar_snapshot",
     "read_snapshot",
     "read_state_snapshot",
     "state_filename",
@@ -46,7 +45,6 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
     "load_config",
-    "save_config",
     "file_sha256",
     "write_manifest",
     "read_manifest",
@@ -81,39 +79,24 @@ class Snapshot:
     coeffs: np.ndarray  # (components,) + grid.shape, complex128
 
 
-def _write_snapshot(
-    path: Path, coeffs: np.ndarray, grid: Grid, time: float, nu: float, eta: float
-) -> None:
+def write_state_snapshot(path: str | Path, state: MhdState) -> None:
+    """Store a full state: velocity components first, then magnetic."""
+    g = state.grid
     header = _HEADER.pack(
         SNAPSHOT_MAGIC,
         SNAPSHOT_VERSION,
-        grid.dim,
-        grid.modes_per_axis,
-        coeffs.shape[0],
-        grid.side_length,
-        time,
-        nu,
-        eta,
+        g.dim,
+        g.modes_per_axis,
+        2 * g.dim,
+        g.side_length,
+        state.time,
+        state.nu,
+        state.eta,
     )
-    payload = np.ascontiguousarray(coeffs, dtype="<c16")
+    payload = np.concatenate([state.u.coeffs, state.b.coeffs], axis=0).astype("<c16", copy=False)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload.tobytes())
-
-
-def write_state_snapshot(path: str | Path, state: MhdState) -> None:
-    """Store a full state: velocity components first, then magnetic."""
-    coeffs = np.concatenate([state.u.coeffs, state.b.coeffs], axis=0)
-    _write_snapshot(Path(path), coeffs, state.grid, state.time, state.nu, state.eta)
-
-
-def write_scalar_snapshot(
-    path: str | Path, field: SpectralField, time: float, nu: float = 0.0, eta: float = 0.0
-) -> None:
-    """Store a single-component field (the pressure, typically)."""
-    if field.components != 1:
-        raise ValueError("scalar snapshots hold exactly one component")
-    _write_snapshot(Path(path), field.coeffs, field.grid, time, nu, eta)
 
 
 def _read_header(path: Path) -> tuple[int, int, int, float, float, float, float]:
@@ -155,7 +138,12 @@ def read_snapshot(path: str | Path) -> Snapshot:
 
 
 def read_state_snapshot(path: str | Path) -> MhdState:
-    """Load a state snapshot; validates divergence-freeness on construction."""
+    """Load a state snapshot, refusing any field that breaks an invariant.
+
+    u and b must each be real (Hermitian-symmetric), inside the band and
+    divergence-free, and the diffusivities finite and non-negative; every
+    such failure is a :class:`SnapshotFormatError` naming the file.
+    """
     snap = read_snapshot(path)
     g = snap.grid
     if snap.coeffs.shape[0] != 2 * g.dim:
@@ -165,7 +153,12 @@ def read_state_snapshot(path: str | Path) -> MhdState:
         )
     u = SpectralField(g, snap.coeffs[: g.dim])
     b = SpectralField(g, snap.coeffs[g.dim :])
-    return MhdState(u, b, snap.time, snap.nu, snap.eta)
+    try:
+        u.validate()
+        b.validate()
+        return MhdState(u, b, snap.time, snap.nu, snap.eta)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"{path}: {exc}") from None
 
 
 _STATE_RE = re.compile(r"^state_(\d{8})\.spc4$")
@@ -443,10 +436,6 @@ def load_config(path: str | Path) -> SimConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return config_from_dict(doc)
-
-
-def save_config(path: str | Path, config: SimConfig) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2) + "\n")
 
 
 # -- run manifest -------------------------------------------------------------

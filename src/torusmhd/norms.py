@@ -1,7 +1,7 @@
 """Norms, anisotropic functionals, time series and the energy ledger.
 
-Quadratic quantities (L2 norms, Sobolev seminorms, the W/X/Y/Z functionals)
-are evaluated exactly in coefficient space via Parseval.  General L^p norms
+Quadratic quantities (L2 norms, the energy, the W/X/Y/Z functionals) are
+evaluated exactly in coefficient space via Parseval.  General L^p norms
 sample the field on the fixed oversampled grid ``Grid.eval_modes`` (2M
 points per axis), accumulate |f|^2 one component at a time, and quadrature
 |f|^p there.  :func:`lp_norms` serves several magnitudes built from shared
@@ -31,9 +31,7 @@ __all__ = [
     "lp_norm",
     "lp_norms",
     "l2_norm",
-    "l2_inner",
     "energy",
-    "sobolev_seminorm",
     "wxyz",
     "WXYZ",
     "NormSeries",
@@ -100,26 +98,12 @@ def l2_norm(field: SpectralField) -> float:
     return float(np.sqrt(g.volume * np.sum(np.abs(field.coeffs) ** 2)))
 
 
-def l2_inner(f: SpectralField, g: SpectralField) -> float:
-    """L2 inner product summed over components, exact via Parseval."""
-    if f.grid != g.grid or f.components != g.components:
-        raise ValueError("inner product requires matching grids and components")
-    return float(f.grid.volume * np.sum(np.conj(f.coeffs) * g.coeffs).real)
-
-
 def energy(u: SpectralField, b: SpectralField | None = None) -> float:
     """Squared L2 norm of the state: ||u||^2 (+ ||b||^2 when present)."""
     e = l2_norm(u) ** 2
     if b is not None:
         e += l2_norm(b) ** 2
     return e
-
-
-def sobolev_seminorm(field: SpectralField, s: float) -> float:
-    """Homogeneous seminorm ||Lambda^s f||_L2; s = 0 is the mean-zero L2 norm."""
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    return math.sqrt(_weighted_energy(field, field.grid.k_power(2.0 * s)))
 
 
 def _weighted_energy(field: SpectralField, weight: np.ndarray) -> float:
@@ -172,10 +156,6 @@ class NormSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def tags(self) -> tuple[str, ...]:
-        return tuple(self.records)
-
     def record(self, t: float, values: Mapping[str, float]) -> None:
         if self.times and t <= self.times[-1]:
             raise ValueError(
@@ -189,11 +169,6 @@ class NormSeries:
         self.times.append(float(t))
         for tag, v in values.items():
             self.records.setdefault(tag, []).append(float(v))
-
-    def value(self, tag: str, index: int = -1) -> float:
-        if tag not in self.records:
-            raise KeyError(tag)
-        return self.records[tag][index]
 
 
 def accumulate(

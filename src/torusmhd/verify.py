@@ -27,7 +27,6 @@ from .field import (
     SpectralField,
     check_divfree,
     gradient,
-    leray_project,
     partial_derivative,
     sample_part,
     synth_random_divfree,
@@ -46,7 +45,6 @@ from .dynamics import (
 
 __all__ = [
     "VerificationReport",
-    "check_elementary",
     "elementary_report",
     "check_troisi",
     "windowed_field",
@@ -168,13 +166,6 @@ def _pooled(
 # -- elementary inequality ----------------------------------------------------
 
 
-def check_elementary(a: float, b: float, p: float) -> bool:
-    """(a+b)^p <= 2^p (a^p + b^p) for non-negative a, b, p."""
-    if a < 0 or b < 0 or p < 0:
-        raise ValueError("check_elementary needs non-negative inputs")
-    return float(a + b) ** p <= 2.0**p * (float(a) ** p + float(b) ** p)
-
-
 def elementary_report(n: int = 1000, seed: int = 0) -> VerificationReport:
     """Randomized sweep reporting the LHS/RHS ratio (must stay <= 1)."""
     if n < 1:
@@ -220,30 +211,22 @@ _WINDOW_JITTER = 0.10
 _WINDOW_WAVES = 3
 
 
-def _window_values(
-    m_eval: int, seed: int, dim: int, side_length: float
-) -> np.ndarray:
+def _window_values(grid: Grid, m_eval: int, seed: int) -> np.ndarray:
+    dim, side_length = grid.dim, grid.side_length
     rng = np.random.default_rng(seed)
     unit = side_length / (2.0 * np.pi)
     widths = rng.uniform(_WINDOW_WIDTH_LO, _WINDOW_WIDTH_HI, dim) * unit
     jitter = rng.uniform(-_WINDOW_JITTER, _WINDOW_JITTER, dim) * unit
-    x = np.arange(m_eval) * (side_length / m_eval)
-
-    def along(arr: np.ndarray, axis: int) -> np.ndarray:
-        return arr.reshape((1,) * axis + (m_eval,) + (1,) * (dim - axis - 1))
-
+    xs = grid.coordinates(m_eval)
     f = np.ones((m_eval,) * dim)
     for a in range(dim):
-        t = (x - (side_length / 2.0 + jitter[a])) / widths[a]
-        f = f * along(_bump(t), a)
+        f = f * _bump((xs[a] - (side_length / 2.0 + jitter[a])) / widths[a])
     modulation = np.zeros((m_eval,) * dim)
     for _ in range(_WINDOW_WAVES):
         k = rng.integers(-1, 2, dim)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         amp = rng.standard_normal()
-        arg = phase + sum(
-            (2.0 * np.pi / side_length) * k[a] * along(x, a) for a in range(dim)
-        )
+        arg = phase + sum((2.0 * np.pi / side_length) * k[a] * xs[a] for a in range(dim))
         modulation = modulation + amp * np.cos(arg)
     return f * (0.5 + 0.6 * modulation)
 
@@ -256,7 +239,7 @@ def windowed_field(grid: Grid, seed: int) -> SpectralField:
     immaterial.
     """
     m = min(grid.eval_modes, 48) if grid.dim == 4 else grid.eval_modes
-    vals = _window_values(m, seed, grid.dim, grid.side_length)
+    vals = _window_values(grid, m, seed)
     return SpectralField.from_samples(grid, vals[None])
 
 

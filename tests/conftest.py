@@ -1,6 +1,11 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from torusmhd import io as tio
+from torusmhd.field import SpectralField
 from torusmhd.grid import make_grid
 
 
@@ -22,3 +27,36 @@ def grid4():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# -- helpers the tests import from here ----------------------------------------
+
+
+def field_from_function(grid, fn, components=1):
+    """Sample ``fn(x1, ..., xd)`` (returning (components, ...) values) on the
+    evaluation grid and band-project: analytic test fields."""
+    xs = grid.coordinates(grid.eval_modes)
+    vals = np.asarray(fn(*xs), dtype=float)
+    target = (components,) + (grid.eval_modes,) * grid.dim
+    vals = np.broadcast_to(vals, target) if vals.shape != target else vals
+    return SpectralField.from_samples(grid, vals)
+
+
+def l2_inner(f, g):
+    """L2 inner product summed over components, exact via Parseval."""
+    assert f.grid == g.grid and f.components == g.components
+    return float(f.grid.volume * np.sum(np.conj(f.coeffs) * g.coeffs).real)
+
+
+def save_config(path, config):
+    """Write a configuration as the JSON document ``io.load_config`` reads."""
+    Path(path).write_text(json.dumps(tio.config_to_dict(config), indent=2) + "\n")
+
+
+def write_raw_snapshot(path, grid, coeffs, time=0.0, nu=0.0, eta=0.0):
+    """Write any coefficient array in the SPC4 layout, bypassing the field checks."""
+    header = tio._HEADER.pack(
+        tio.SNAPSHOT_MAGIC, tio.SNAPSHOT_VERSION, grid.dim, grid.modes_per_axis,
+        coeffs.shape[0], grid.side_length, time, nu, eta,
+    )
+    Path(path).write_bytes(header + np.ascontiguousarray(coeffs, dtype="<c16").tobytes())

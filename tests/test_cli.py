@@ -7,12 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from torusmhd import cli
 from torusmhd import io as tio
 from torusmhd.criteria import CriterionSpec, Theorem
 from torusmhd.dynamics import InitialCondition, SimConfig
+
+from conftest import save_config
 
 
 @pytest.fixture(autouse=True)
@@ -32,7 +35,7 @@ def write_config(path, **over):
         initial=InitialCondition(preset="random_divfree", seed=5),
     )
     base.update(over)
-    tio.save_config(path, SimConfig(**base))
+    save_config(path, SimConfig(**base))
     return path
 
 
@@ -143,7 +146,7 @@ def monitor_config(path):
         criteria=(CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16)))),),
         monitor_bootstrap=True,
     )
-    tio.save_config(path, cfg)
+    save_config(path, cfg)
     return cfg
 
 
@@ -200,6 +203,25 @@ def test_monitor_refuses_nan_header_fields(tmp_path, capsys):
     assert not (out / "replay.csv").exists()
 
 
+def test_monitor_refuses_broken_snapshot_exits_4(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "run.json")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    snap = out / "state_00000002.spc4"
+    raw = snap.read_bytes()
+    head = struct.calcsize("<4s4I4d")
+    coeffs = np.frombuffer(raw[head:], dtype="<c16").reshape((4, 16, 16)).copy()
+    # a real, divergence-free mode at k1 = 7, beyond the band K = 5
+    coeffs[1, 7, 0] = coeffs[1, -7, 0] = 0.3
+    snap.write_bytes(raw[:head] + coeffs.tobytes())
+    code = cli.main(["monitor", "--in", str(out), "--spec", str(cfg_path)])
+    assert code == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert "state_00000002.spc4" in err and "band" in err
+    assert not (out / "replay.csv").exists()
+
+
 def test_monitor_without_snapshots_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     monitor_config(cfg_path)
@@ -226,6 +248,18 @@ def test_monitor_grid_mismatch_exits_2(tmp_path, capsys):
     assert cli.main(["monitor", "--in", str(side_out), "--spec", str(run_cfg)]) == 2
     err = capsys.readouterr().err
     assert "does not match" in err and "3.0" in err and repr(2 * math.pi) in err
+
+    # same grid, other diffusivities: the replay would ignore the spec's
+    visc_path = write_config(tmp_path / "run2d_visc.json", nu=0.5, eta=0.5)
+    visc_out = tmp_path / "out_visc"
+    assert cli.main(["simulate", "--config", str(visc_path), "--out", str(visc_out)]) == 0
+    spec_visc = write_config(tmp_path / "spec2d_visc.json", nu=0.05, eta=0.05)
+    capsys.readouterr()
+    assert cli.main(["monitor", "--in", str(visc_out), "--spec", str(spec_visc)]) == 2
+    err = capsys.readouterr().err
+    assert "state_00000000.spc4" in err and "do not match" in err
+    assert "nu=0.5, eta=0.5" in err and "nu=0.05, eta=0.05" in err
+    assert not (visc_out / "replay.csv").exists()
 
 
 def test_threads_env_validation(monkeypatch, tmp_path, capsys):

@@ -7,13 +7,10 @@ import pytest
 from torusmhd.criteria import (
     BOOTSTRAP_TAGS,
     CriterionSpec,
-    MonitorStatus,
     Theorem,
     admissible,
     bootstrap_trigger,
     gronwall_rhs,
-    monitor_update,
-    monitored_components,
     monitored_field,
     monitored_norms,
     p_label,
@@ -24,7 +21,16 @@ from torusmhd.field import (
     synth_random_divfree,
     synth_random_field,
 )
-from torusmhd.norms import NormSeries, accumulate, lp_norm, wxyz
+from torusmhd.dynamics import (
+    InitialCondition,
+    MhdState,
+    Recorder,
+    SimConfig,
+    accumulator_columns,
+    simulate,
+)
+from torusmhd.field import SpectralField
+from torusmhd.norms import EnergyLedger, NormSeries, accumulate, lp_norm, wxyz
 
 INF = math.inf
 
@@ -150,7 +156,6 @@ def test_spec_labels_and_keys():
     pspec = CriterionSpec(Theorem.T1_5, pairs=(("dpi3", (2, 4)), ("dpi4", (2, 4))))
     assert pspec.norm_tag("dpi3") == "L2_dpi3"
     assert pspec.needs_pressure
-    assert monitored_components(Theorem.T1_3) == ("u3", "u4", "b")
 
 
 # ----------------------------------------------------------- monitored_field
@@ -244,43 +249,56 @@ def two_row_series(tags, rows):
     return series
 
 
+def advance(series, spec, dt):
+    """Advance a criterion's accumulators after a record, as Recorder.record does."""
+    for key, tag, r in accumulator_columns(SimConfig(criteria=(spec,))):
+        accumulate(series, tag, r, dt, key=key)
+
+
 def test_monitor_status_seeding():
-    spec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
-    status = MonitorStatus.for_spec(spec)
-    assert status.accumulators == {"u3": 0.0, "u4": 0.0}
-    assert status.sup_values == {"u3": -INF, "u4": -INF}
-    assert status.verdict == "tracking"
-    assert status.finite
+    # the first record seeds every accumulator in the series' one store:
+    # integrals at 0, sups at the first value
+    spec = CriterionSpec(Theorem.CLASSICAL_U, pairs=(("u", (8, INF)),))
+    cfg = SimConfig(dim=2, modes_per_axis=16, criteria=(spec,), monitor_bootstrap=True)
+    g = cfg.make_grid()
+    rec = Recorder(cfg)
+    state = MhdState(synth_random_divfree(g, 2, seed=1), SpectralField.zeros(g, 2))
+    rec.record(0.0, state, EnergyLedger(1.0))
+    first = rec.series.records["L8_u"][0]
+    assert first > 0.0
+    assert rec.series.accumulators == {
+        "acc_CLASSICAL_U_u": first,
+        "acc_bootstrap_gradu_LN": 0.0,
+        "acc_bootstrap_gradb_LN": 0.0,
+    }
+    assert spec.accumulated(rec.series) == {"acc_CLASSICAL_U_u": first}
+    assert rec.history["acc_CLASSICAL_U_u"] == [first]
 
 
 def test_monitor_update_trapezoid_and_sup():
     spec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
-    status = MonitorStatus.for_spec(spec)
     series = NormSeries()
     series.record(0.0, {"L8_u3": 2.0, "L8_u4": 3.0})
-    monitor_update(status, series, 0.0)
-    assert status.accumulators == {"u3": 0.0, "u4": 0.0}
-    assert status.sup_values == {"u3": 2.0, "u4": 3.0}
+    advance(series, spec, 0.0)
+    assert spec.accumulated(series) == {"acc_T1_1_u3": 0.0, "acc_T1_1_u4": 0.0}
     series.record(0.1, {"L8_u3": 1.0, "L8_u4": 4.0})
-    monitor_update(status, series, 0.1)
+    advance(series, spec, 0.1)
+    acc = spec.accumulated(series)
     want_u3 = 0.1 * (2.0**16 + 1.0**16) / 2
     want_u4 = 0.1 * (3.0**16 + 4.0**16) / 2
-    assert status.accumulators["u3"] == pytest.approx(want_u3, rel=1e-15)
-    assert status.accumulators["u4"] == pytest.approx(want_u4, rel=1e-15)
-    assert status.sup_values == {"u3": 2.0, "u4": 4.0}
-    assert status.finite
+    assert acc["acc_T1_1_u3"] == pytest.approx(want_u3, rel=1e-15)
+    assert acc["acc_T1_1_u4"] == pytest.approx(want_u4, rel=1e-15)
 
 
 def test_monitor_update_smallness_tracks_sup_only():
     spec = CriterionSpec(Theorem.T1_1, smallness=True)
-    status = MonitorStatus.for_spec(spec)
     series = NormSeries()
     series.record(0.0, {"L6_u3": 2.0, "L6_u4": 5.0})
-    monitor_update(status, series, 0.0)
+    advance(series, spec, 0.0)
     series.record(0.1, {"L6_u3": 3.0, "L6_u4": 1.0})
-    monitor_update(status, series, 0.1)
+    advance(series, spec, 0.1)
     # r = inf accumulators carry the running sup, not an integral
-    assert status.accumulators == {"u3": 3.0, "u4": 5.0}
+    assert spec.accumulated(series) == {"acc_T1_1_u3": 3.0, "acc_T1_1_u4": 5.0}
 
 
 def test_monitor_update_missing_tag_names_it():
@@ -288,19 +306,28 @@ def test_monitor_update_missing_tag_names_it():
         Theorem.T1_3,
         pairs=(("u3", (8, 16)), ("u4", (8, 16)), ("b", (8, 16))),
     )
-    status = MonitorStatus.for_spec(spec)
     series = two_row_series(["L8_u3", "L8_u4"], [(1.0, 1.0), (1.0, 1.0)])
-    with pytest.raises(ValueError, match="L8_b"):
-        monitor_update(status, series, 0.1)
+    with pytest.raises(KeyError, match="L8_b"):
+        advance(series, spec, 0.1)
 
 
 def test_monitor_detects_divergent_accumulator():
-    spec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
-    status = MonitorStatus.for_spec(spec)
-    series = two_row_series(["L8_u3", "L8_u4"], [(1.0, 1.0), (INF, 1.0)])
-    monitor_update(status, series, 0.0)
-    monitor_update(status, series, 0.1)
-    assert not status.finite
+    # a Taylor-Green array so large that |u|^8 overflows, over one step short
+    # enough to stay finite: the run completes, its L^8 records are inf, and
+    # so is the accumulator
+    spec = CriterionSpec(Theorem.CLASSICAL_U, pairs=(("u", (8, 4)),))
+    cfg = SimConfig(
+        dim=2,
+        modes_per_axis=16,
+        dt=1e-45,
+        t_end=1e-45,
+        initial=InitialCondition(preset="taylor_green", amplitude=1e40),
+        criteria=(spec,),
+    )
+    res = simulate(cfg)
+    assert res.status == "completed"
+    assert res.series.accumulators["acc_CLASSICAL_U_u"] == INF
+    assert res.verdicts == {"CLASSICAL_U": "accumulator_divergent"}
 
 
 def test_bootstrap_trigger_sums_gradient_accumulators():

@@ -23,7 +23,9 @@ from torusmhd.dynamics import (
 )
 from torusmhd.field import SpectralField, gradient, synth_random_divfree
 from torusmhd.grid import Grid, make_grid
-from torusmhd.norms import energy, l2_inner, l2_norm, lp_norm, wxyz
+from torusmhd.norms import energy, l2_norm, lp_norm, wxyz
+
+from conftest import l2_inner
 
 
 def mhd_pair(grid, seed, amp=1.0, bamp=0.5):
@@ -330,8 +332,8 @@ def test_simulate_zero_initial_stays_zero():
     res = simulate(cfg)
     assert all(v == 0.0 for v in res.series.records["energy"])
     assert res.ledger.defect == 0.0
-    assert res.monitor_statuses[0].accumulators == {"u": 0.0}
-    assert res.monitor_statuses[0].verdict == "accumulators_finite"
+    assert res.series.accumulators == {"acc_CLASSICAL_U_u": 0.0}
+    assert res.verdicts == {"CLASSICAL_U": "accumulators_finite"}
 
 
 def test_simulate_b_zero_stays_zero():
@@ -378,10 +380,10 @@ def test_simulate_criteria_columns_4d():
     assert "L8_u4" in res.series.records
     assert "gradu_LN" in res.series.records
     assert "acc_T1_1_u3" in res.series.accumulators
-    st = res.monitor_statuses[0]
-    assert st.verdict == "accumulators_finite"
-    assert st.accumulators["u3"] > 0.0
-    assert st.sup_values["u3"] >= res.series.records["L8_u3"][0]
+    assert res.verdicts == {"T1_1": "accumulators_finite"}
+    assert res.series.accumulators["acc_T1_1_u3"] > 0.0
+    # the history column is the store's value at each record
+    assert res.ledger_history["acc_T1_1_u3"][-1] == res.series.accumulators["acc_T1_1_u3"]
     cols = accumulator_columns(cfg)
     assert cols == (
         ("acc_T1_1_u3", "L8_u3", 16.0),
@@ -445,5 +447,5 @@ def test_simulate_flags_divergence():
     )
     res = simulate(cfg)
     assert res.status == "diverged"
-    assert res.monitor_statuses[0].verdict == "diverged"
+    assert res.verdicts == {"CLASSICAL_U": "diverged"}
     assert len(res.series.times) >= 1

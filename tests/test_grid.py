@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from torusmhd.grid import Grid, make_grid, set_fft_workers, fft_workers
+from torusmhd import grid as tgrid
+from torusmhd.grid import Grid, make_grid, set_fft_workers
 
 
 def test_make_grid_validation():
@@ -92,12 +93,12 @@ def test_quadrature_constant():
 
 
 def test_fft_workers_roundtrip():
-    old = fft_workers()
+    old = tgrid._FFT_WORKERS
     try:
         set_fft_workers(2)
-        assert fft_workers() == 2
+        assert tgrid._FFT_WORKERS == 2
         set_fft_workers(None)
-        assert fft_workers() == -1
+        assert tgrid._FFT_WORKERS == -1
     finally:
         set_fft_workers(old if old > 0 else None)
 

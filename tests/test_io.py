@@ -7,9 +7,11 @@ import pytest
 
 from torusmhd.criteria import CriterionSpec, Theorem
 from torusmhd.dynamics import InitialCondition, MhdState, SimConfig, simulate
-from torusmhd.field import SpectralField, synth_random_divfree, synth_random_field
+from torusmhd.field import synth_random_divfree, synth_random_field
 from torusmhd.grid import make_grid
 from torusmhd import io as tio
+
+from conftest import save_config, write_raw_snapshot
 
 
 def small_state(grid, seed=0):
@@ -54,13 +56,10 @@ def test_state_snapshot_roundtrip(grid2, tmp_path):
 def test_scalar_snapshot_roundtrip(grid2, tmp_path):
     f = synth_random_field(grid2, 1, seed=3)
     path = tmp_path / "pi.spc4"
-    tio.write_scalar_snapshot(path, f, time=0.25)
+    write_raw_snapshot(path, grid2, f.coeffs, time=0.25)
     snap = tio.read_snapshot(path)
     assert snap.time == 0.25
     assert np.array_equal(snap.coeffs, f.coeffs)
-    vec = synth_random_divfree(grid2, 2, seed=1)
-    with pytest.raises(ValueError, match="one component"):
-        tio.write_scalar_snapshot(tmp_path / "no.spc4", vec, time=0.0)
 
 
 def header_bytes(**over):
@@ -141,9 +140,40 @@ def test_snapshot_errors_name_the_file(tmp_path):
 def test_read_state_snapshot_needs_full_state(grid2, tmp_path):
     f = synth_random_field(grid2, 1, seed=2)
     path = tmp_path / "state_00000001.spc4"
-    tio.write_scalar_snapshot(path, f, time=0.0)
+    write_raw_snapshot(path, grid2, f.coeffs)
     with pytest.raises(tio.SnapshotFormatError, match="components"):
         tio.read_state_snapshot(path)
+
+
+def test_state_snapshot_refuses_broken_fields(tmp_path):
+    # dim 3, M = 12 keeps |k| <= K = 4; every field below is divergence-free
+    # unless said otherwise, so only the invariant named breaks
+    g = make_grid(3, 12)
+    path = tmp_path / tio.state_filename(0)
+
+    def refused(coeffs, match):
+        write_raw_snapshot(path, g, coeffs, nu=0.1, eta=0.1)
+        with pytest.raises(tio.SnapshotFormatError, match=match) as info:
+            tio.read_state_snapshot(path)
+        assert path.name in str(info.value)
+
+    outside = np.zeros((6,) + g.shape, dtype=complex)
+    outside[1, 5, 0, 0] = outside[1, -5, 0, 0] = 0.3  # a real mode at k1 = 5 > K
+    refused(outside, "band")
+    lone = np.zeros((6,) + g.shape, dtype=complex)
+    lone[1, 1, 0, 0] = 0.2j  # no conjugate partner at k1 = -1
+    refused(lone, "Hermitian")
+    lone_b = np.zeros((6,) + g.shape, dtype=complex)
+    lone_b[4, 1, 0, 0] = 0.2j  # the same in b
+    refused(lone_b, "Hermitian")
+    divergent = np.zeros((6,) + g.shape, dtype=complex)
+    divergent[0, 1, 0, 0] = divergent[0, -1, 0, 0] = 0.3  # u1 along k1
+    refused(divergent, "divergence-free")
+    fine = outside.copy()
+    fine[1, 5, 0, 0] = fine[1, -5, 0, 0] = 0.0
+    fine[1, 1, 0, 0], fine[1, -1, 0, 0] = 0.2j, -0.2j
+    write_raw_snapshot(path, g, fine, nu=0.1, eta=0.1)
+    assert np.array_equal(tio.read_state_snapshot(path).u.coeffs, fine[:3])
 
 
 def test_state_snapshot_refuses_nan_diffusivity(grid2, tmp_path):
@@ -153,7 +183,7 @@ def test_state_snapshot_refuses_nan_diffusivity(grid2, tmp_path):
     struct.pack_into("<d", raw, struct.calcsize("<4s4I2d"), math.nan)  # nu
     path.write_bytes(bytes(raw))
     assert math.isnan(tio.read_snapshot(path).nu)
-    with pytest.raises(ValueError, match="diffusivities"):
+    with pytest.raises(tio.SnapshotFormatError, match="diffusivities"):
         tio.read_state_snapshot(path)
 
 
@@ -245,7 +275,7 @@ def test_config_document_roundtrip(tmp_path):
     doc = json.loads(json.dumps(tio.config_to_dict(cfg)))
     assert tio.config_from_dict(doc) == cfg
     path = tmp_path / "run.json"
-    tio.save_config(path, cfg)
+    save_config(path, cfg)
     assert tio.load_config(path) == cfg
     # infinite exponents travel as the string "inf"
     assert doc["criteria"][0]["pairs"]["u4"][0] == "inf"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from torusmhd.field import field_from_function, gradient, synth_random_field
+from torusmhd.field import synth_random_field
 from torusmhd.grid import make_grid
 from torusmhd.norms import (
     EnergyLedger,
@@ -11,12 +11,12 @@ from torusmhd.norms import (
     accumulate,
     energy,
     energy_ledger_update,
-    l2_inner,
     l2_norm,
     lp_norm,
-    sobolev_seminorm,
     wxyz,
 )
+
+from conftest import field_from_function
 
 
 def cos_field(grid):
@@ -61,29 +61,11 @@ def test_l2_norm_parseval_equivalence(grid3):
     assert l2_norm(f) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_l2_inner_polarization(grid2):
-    f = synth_random_field(grid2, 2, seed=7)
-    g = synth_random_field(grid2, 2, seed=8)
-    lhs = l2_inner(f, g)
-    rhs = 0.25 * (l2_norm(f + g) ** 2 - l2_norm(f - g) ** 2)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
 def test_energy_additivity(grid2):
     u = synth_random_field(grid2, 2, seed=9, amplitude=0.6)
     b = synth_random_field(grid2, 2, seed=10, amplitude=0.8)
     assert energy(u) == pytest.approx(0.36, rel=1e-12)
     assert energy(u, b) == pytest.approx(0.36 + 0.64, rel=1e-12)
-
-
-def test_sobolev_seminorm_gradient_identity(grid2):
-    f = synth_random_field(grid2, 1, seed=11)
-    assert sobolev_seminorm(f, 1.0) == pytest.approx(
-        l2_norm(gradient(f)), rel=1e-12
-    )
-    assert sobolev_seminorm(f, 0.0) == pytest.approx(l2_norm(f), rel=1e-12)
-    with pytest.raises(ValueError):
-        sobolev_seminorm(f, -1.0)
 
 
 def test_wxyz_pointwise_orderings(grid4):
@@ -127,8 +109,7 @@ def test_series_record_validation():
         s.record(1.0, {"a": 1.0})  # tag set changed
     s.record(1.0, {"a": 3.0, "b": 4.0})
     assert len(s) == 2
-    assert s.value("a") == 3.0
-    assert s.value("a", 0) == 1.0
+    assert s.records["a"] == [1.0, 3.0]
 
 
 def test_accumulate_trapezoid_matches_closed_form():
