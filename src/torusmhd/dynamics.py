@@ -20,7 +20,7 @@ see :func:`advective_dt_bound`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import dataclass, field as dfield
 from typing import Callable
 
 import numpy as np
@@ -132,13 +132,10 @@ def _nonlinear(
     return du, db
 
 
-def _dissipation_rate(
-    g: Grid, u: np.ndarray, b: np.ndarray | None, nu: float, eta: float
-) -> float:
-    r = 2.0 * nu * g.volume * float(np.sum(g.k_squared[None] * np.abs(u) ** 2))
-    if b is not None:
-        r += 2.0 * eta * g.volume * float(np.sum(g.k_squared[None] * np.abs(b) ** 2))
-    return r
+def dissipation_rate(state: MhdState) -> float:
+    """Instantaneous 2(nu ||grad u||^2 + eta ||grad b||^2), exact via Parseval."""
+    power = state.nu * np.abs(state.u.coeffs) ** 2 + state.eta * np.abs(state.b.coeffs) ** 2
+    return 2.0 * state.grid.parseval_sum(state.grid.k_squared * power)
 
 
 # Above this the per-mode decay over one step is so close to complete that
@@ -220,23 +217,12 @@ def _dissipation_increment(
     # past the cutoff the clamped unwinding makes the end samples
     # meaningless, so the slow factor is frozen at its start value
     tot = d0 * (1.0 - decay) + np.where(z > _FITTED_Z_CUT, 0.0, corr)
-    return g.volume * float(np.sum(tot))
+    return g.parseval_sum(tot)
 
 
 def _mode_power(coeffs: np.ndarray) -> np.ndarray:
     # sum over components of |c|^2, leaving the mode axes
     return np.sum(coeffs.real**2 + coeffs.imag**2, axis=0)
-
-
-def dissipation_rate(state: MhdState) -> float:
-    """Instantaneous 2(nu ||grad u||^2 + eta ||grad b||^2), exact via Parseval."""
-    return _dissipation_rate(
-        state.grid,
-        state.u.coeffs,
-        state.b.coeffs if state.has_b else None,
-        state.nu,
-        state.eta,
-    )
 
 
 # -- public operators ---------------------------------------------------------
@@ -278,7 +264,8 @@ def step_ifrk4(state: MhdState, dt: float) -> tuple[MhdState, float]:
     """One integrating-factor RK4 step.
 
     Diffusion is applied exactly through the integrating factor; the RK4
-    stages see only the nonlinear terms.  Returns the advanced state and
+    stages see only the nonlinear terms.  The new state is validated once,
+    at its time :func:`_next_time`.  Returns the advanced state and
     the dissipation integral over the step, quadratured per mode from the
     endpoint values and derivatives of the slow variable so the energy
     ledger closes below the integrator's own energy residual.  Raises
@@ -339,10 +326,17 @@ def step_ifrk4(state: MhdState, dt: float) -> tuple[MhdState, float]:
                 )
         else:
             dinc = 0.0
+    t_new = _next_time(state.time, dt)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(b_new))):
-        raise DivergedError(f"non-finite coefficients at t={state.time + dt:.6g}")
-    new = MhdState(SpectralField(g, u_new), SpectralField(g, b_new), state.time + dt, nu, eta)
-    return new, dinc
+        raise DivergedError(f"non-finite coefficients at t={t_new:.6g}")
+    return MhdState(SpectralField(g, u_new), SpectralField(g, b_new), t_new, nu, eta), dinc
+
+
+def _next_time(t: float, dt: float) -> float:
+    """t + dt, taken as (n + 1) * dt when t is the whole multiple n * dt, so
+    a clock started on the dt lattice stays on it bit for bit."""
+    n = round(t / dt) if math.isfinite(t / dt) else 0
+    return (n + 1) * dt if n * dt == t else t + dt
 
 
 def advective_dt_bound(state: MhdState) -> float:
@@ -469,23 +463,17 @@ def taylor_green_state(
 ) -> MhdState:
     """Planar vortex array in the first two axes; exactly pressure-balanced
     so the nonlinearity is a pure gradient and the flow decays by diffusion."""
-    coeffs = np.zeros((grid.dim,) + grid.shape, dtype=complex)
-    # u1 = cos(k x1) sin(k x2), u2 = -sin(k x1) cos(k x2) with k = 2*pi/L
-    q = amplitude / 4.0
+    # u1 = cos(k x1) sin(k x2), u2 = -sin(k x1) cos(k x2) with k = 2*pi/L: the
+    # modes (s1, s2) = (+-1, +-1), written on the full layout and cut to the half
     m = grid.modes_per_axis
-
-    def put(comp, k1, k2, val):
-        coeffs[(comp, k1 % m, k2 % m) + (0,) * (grid.dim - 2)] += val
-
-    put(0, 1, 1, -1j * q)
-    put(0, 1, -1, 1j * q)
-    put(0, -1, 1, -1j * q)
-    put(0, -1, -1, 1j * q)
-    put(1, 1, 1, 1j * q)
-    put(1, -1, 1, -1j * q)
-    put(1, 1, -1, 1j * q)
-    put(1, -1, -1, -1j * q)
-    u = SpectralField(grid, coeffs)
+    coeffs = np.zeros((grid.dim,) + (m,) * grid.dim, dtype=complex)
+    q = amplitude / 4.0
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            at = (s1 % m, s2 % m) + (0,) * (grid.dim - 2)
+            coeffs[(0,) + at] = -1j * q * s2
+            coeffs[(1,) + at] = 1j * q * s1
+    u = SpectralField(grid, coeffs[..., : grid.shape[-1]].copy())
     return MhdState(u, SpectralField.zeros(grid, grid.dim), 0.0, nu, eta)
 
 
@@ -661,7 +649,7 @@ def simulate(
     status = "completed"
 
     for n in range(n_steps + 1):
-        t = n * config.dt
+        t = state.time
         if n % config.record_every == 0 or n == n_steps:
             pi = recorder.record(t, state, ledger)
             at_snapshot = config.snapshot_every and (
@@ -679,10 +667,6 @@ def simulate(
         except DivergedError:
             status = "diverged"
             break
-        # pin the clock to the grid-exact multiple so snapshot headers agree
-        # bit for bit with the recorded time column; the replace also re-runs
-        # the divergence check every step
-        state = replace(state, time=(n + 1) * config.dt)
         ledger.advance(energy(state.u, state.b if state.has_b else None), dinc)
 
     verdicts = {}

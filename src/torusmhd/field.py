@@ -8,7 +8,7 @@ field onto the shrunken torus without touching its integer mode content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +36,10 @@ _DIVFREE_TOL = 1e-10
 class SpectralField:
     """A real field stored as complex Fourier coefficients.
 
-    ``coeffs`` has shape ``(components,) + (M,)*dim`` in FFT layout.  The
-    named constructors guarantee Hermitian symmetry and the band limit;
+    ``coeffs`` has shape ``(components,) + grid.shape``, the ``rfftn`` half
+    layout: the modes with k_last < 0 are conj(c(-k)) of stored ones, so only
+    the self-conjugate planes k_last = 0 and M/2 can break the symmetry of a
+    real field.  The named constructors guarantee it and the band limit;
     :meth:`validate` re-checks both at the io boundary, on every field
     :func:`torusmhd.io.read_state_snapshot` loads.
     """
@@ -84,14 +86,15 @@ class SpectralField:
     def validate(self, tol: float = _HERMITIAN_TOL) -> None:
         """Raise if the invariants (real field, band limit, finite) fail.
 
-        Checks one component at a time against the whole field's scale, so
-        the temporaries stay at one component's size.
+        Checks one component at a time, unfolded to the full layout, against
+        the whole field's scale, so the temporaries stay at one component's size.
         """
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("field coefficients contain non-finite entries")
         scale = max(float(np.abs(c).max()) for c in self.coeffs) or 1.0
         for c in self.coeffs:
-            herm = np.abs(c - self.grid.conj_reversed(c)).max()
+            full = self.grid.unfold(c)
+            herm = np.abs(full - self.grid.conj_reversed(full)).max()
             if herm > tol * scale:
                 raise ValueError(
                     f"field is not Hermitian-symmetric (defect {herm:.3e}, scale {scale:.3e})"
@@ -197,14 +200,15 @@ def rescale_field(field: SpectralField, lam: int) -> SpectralField:
     if lam_i != lam or lam_i < 1:
         raise ValueError(f"rescale factor must be a positive integer, got {lam}")
     g = field.grid
-    out_grid = g.with_side_length(g.side_length / lam_i)
+    out_grid = replace(g, side_length=g.side_length / lam_i)
     return SpectralField(out_grid, lam_i * field.coeffs)
 
 
 def _hermitian_noise(grid: Grid, components: int, rng: np.random.Generator) -> np.ndarray:
-    shape = (components,) + grid.shape
+    # drawn and symmetrised on the full layout, so each seed keeps its field
+    shape = (components,) + (grid.modes_per_axis,) * grid.dim
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return 0.5 * (a + grid.conj_reversed(a))
+    return 0.5 * (a + grid.conj_reversed(a))[..., : grid.shape[-1]]
 
 
 def _shaped_noise(
@@ -216,7 +220,7 @@ def _shaped_noise(
 
 
 def _normalized(grid: Grid, coeffs: np.ndarray, amplitude: float) -> np.ndarray:
-    norm = np.sqrt(grid.volume * np.sum(np.abs(coeffs) ** 2))
+    norm = np.sqrt(grid.parseval_sum(np.abs(coeffs) ** 2))
     if norm == 0:
         raise ValueError("degenerate random draw, cannot normalize")
     return coeffs * (amplitude / norm)

@@ -7,12 +7,15 @@ field operations elsewhere can stay purely algebraic.
 
 Coefficient convention: a real field is represented by complex coefficients
 ``c[k]`` with ``f(x) = sum_k c[k] exp(i kappa . x)`` where
-``kappa = 2*pi*k/L`` and ``k`` runs over the integer lattice in FFT layout.
+``kappa = 2*pi*k/L``.  Only the ``rfftn`` half of the lattice is stored, in
+shape ``(M,)*(dim-1) + (M//2 + 1,)`` (FFT order, then k_last = 0..M/2); the
+modes with k_last < 0 are conj(c[-k]).  A lattice sum of |c|^2 is therefore
+:meth:`Grid.parseval_sum`, with :attr:`Grid.parseval_weight` 2 for
+0 < k_last < M/2 and 1 on the self-conjugate planes k_last = 0 and M/2.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,7 +50,7 @@ class Grid:
     dim : int
         Torus dimension.
     modes_per_axis : int
-        Stored modes per axis (the FFT size M).
+        The FFT size M of every axis (the last stores M//2 + 1 modes).
     side_length : float
         Physical period L of every axis.
     band_limit : int
@@ -80,7 +83,8 @@ class Grid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return (self.modes_per_axis,) * self.dim
+        """The stored half layout, one array axis per torus axis."""
+        return (self.modes_per_axis,) * (self.dim - 1) + (self.modes_per_axis // 2 + 1,)
 
     @property
     def volume(self) -> float:
@@ -107,21 +111,19 @@ class Grid:
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Integer wavenumbers along one axis, FFT layout."""
+        """Integer wavenumbers along one full axis, FFT layout."""
         m = self.modes_per_axis
         return np.fft.fftfreq(m, 1.0 / m).astype(int)
 
-    def _axis_shape(self, axis: int) -> tuple[int, ...]:
-        return (1,) * axis + (self.modes_per_axis,) + (1,) * (self.dim - axis - 1)
+    def _axis_wavenumbers(self, axis: int) -> np.ndarray:
+        k = self.wavenumbers if axis < self.dim - 1 else np.arange(self.shape[-1])
+        return k.reshape((1,) * axis + (k.size,) + (1,) * (self.dim - axis - 1))
 
     @cached_property
     def wave_axes(self) -> tuple[np.ndarray, ...]:
         """Physical wavenumbers kappa_a, one broadcast-ready array per axis."""
         scale = TWO_PI / self.side_length
-        return tuple(
-            scale * self.wavenumbers.reshape(self._axis_shape(a))
-            for a in range(self.dim)
-        )
+        return tuple(scale * self._axis_wavenumbers(a) for a in range(self.dim))
 
     @cached_property
     def k_squared(self) -> np.ndarray:
@@ -138,23 +140,45 @@ class Grid:
 
     @cached_property
     def band_mask(self) -> np.ndarray:
-        absk = np.abs(self.wavenumbers)
         mask = np.ones(self.shape, dtype=bool)
         for a in range(self.dim):
-            mask &= absk.reshape(self._axis_shape(a)) <= self.band_limit
+            mask &= np.abs(self._axis_wavenumbers(a)) <= self.band_limit
         return mask
 
     @cached_property
+    def parseval_weight(self) -> np.ndarray:
+        """How often a stored mode counts in a full-lattice sum, by k_last: 2 for
+        0 < k_last < M/2, standing also for -k, 1 on the planes k_last = 0, M/2."""
+        w = np.full(self.shape[-1], 2.0)
+        w[0] = w[-1] = 1.0
+        return w
+
+    def parseval_sum(self, density: np.ndarray) -> float:
+        """vol * the full-lattice sum of a per-mode density given on the half
+        layout, over every axis: with density |c|^2 it is ||f||_2^2."""
+        return self.volume * float(np.sum(density * self.parseval_weight))
+
+    @cached_property
     def _reversal_index(self) -> np.ndarray:
-        # position of wavenumber -k for each stored position
+        # position of wavenumber -k for each position of a full axis
         m = self.modes_per_axis
         return (-np.arange(m)) % m
 
     def conj_reversed(self, coeffs: np.ndarray) -> np.ndarray:
-        """conj(c(-k)), the coefficient array a real field must equal."""
+        """conj(c(-k)) on the full ``(M,)*dim`` layout, the array a real
+        field's full spectrum must equal."""
         idx = self._reversal_index
         sel = (slice(None),) * (coeffs.ndim - self.dim) + np.ix_(*[idx] * self.dim)
         return np.conj(coeffs[sel])
+
+    def unfold(self, coeffs: np.ndarray) -> np.ndarray:
+        """The full ``(M,)*dim`` layout of half-layout coefficients, each
+        k_last < 0 mode filled in as conj(c(-k))."""
+        h = self.shape[-1]
+        full = np.zeros(coeffs.shape[:-1] + (self.modes_per_axis,), dtype=complex)
+        full[..., :h] = coeffs
+        full[..., h:] = self.conj_reversed(full)[..., h:]
+        return full
 
     def coordinates(self, m_eval: int | None = None) -> tuple[np.ndarray, ...]:
         """Collocation coordinates along each axis of the evaluation grid."""
@@ -170,47 +194,49 @@ class Grid:
     def _spatial_axes(self, arr: np.ndarray) -> tuple[int, ...]:
         return tuple(range(arr.ndim - self.dim, arr.ndim))
 
+    def _embedding(self, lead: int, m_eval: int) -> tuple:
+        # index of every stored mode in the m_eval half layout
+        idx = [self.wavenumbers % m_eval] * (self.dim - 1) + [np.arange(self.shape[-1])]
+        return (slice(None),) * lead + np.ix_(*idx)
+
     def scatter(self, coeffs: np.ndarray, m_eval: int) -> np.ndarray:
         """Embed M-layout coefficients into an m_eval-layout spectral array."""
         if m_eval < self.modes_per_axis:
             raise ValueError("evaluation grid must be at least as fine as the grid")
         lead = coeffs.shape[: coeffs.ndim - self.dim]
-        out = np.zeros(lead + (m_eval,) * self.dim, dtype=complex)
-        idx = self.wavenumbers % m_eval
-        sel = (slice(None),) * len(lead) + np.ix_(*[idx] * self.dim)
-        out[sel] = coeffs
+        out = np.zeros(lead + (m_eval,) * (self.dim - 1) + (m_eval // 2 + 1,), dtype=complex)
+        out[self._embedding(len(lead), m_eval)] = coeffs
         return out
 
     def gather(self, coeffs_fine: np.ndarray, m_eval: int) -> np.ndarray:
         """Extract this grid's M-layout coefficients from a finer layout."""
-        lead_n = coeffs_fine.ndim - self.dim
-        idx = self.wavenumbers % m_eval
-        sel = (slice(None),) * lead_n + np.ix_(*[idx] * self.dim)
-        return coeffs_fine[sel]
+        return coeffs_fine[self._embedding(coeffs_fine.ndim - self.dim, m_eval)]
 
     def sample(self, coeffs: np.ndarray, m_eval: int | None = None) -> np.ndarray:
         """Evaluate coefficients on the (padded) collocation grid.
 
-        Returns real values of shape ``lead + (m_eval,)*dim``.
+        Returns real values of shape ``lead + (m_eval,)*dim``, from one
+        batched ``irfftn``.
         """
         m = m_eval or self.eval_modes
         spread = self.scatter(coeffs, m) if m != self.modes_per_axis else coeffs
-        vals = sfft.ifftn(spread, axes=self._spatial_axes(spread), workers=_FFT_WORKERS)
-        return vals.real * float(m) ** self.dim
+        return sfft.irfftn(
+            spread, s=(m,) * self.dim, axes=self._spatial_axes(spread),
+            norm="forward", workers=_FFT_WORKERS,
+        )
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Transform collocation values back to M-layout coefficients.
+        """Transform real collocation values back to M-layout coefficients,
+        with one batched ``rfftn``.
 
         The input may live on any grid at least as fine as M; content beyond
         the stored layout aliases, so callers are responsible for having
         band-limited data (or for applying the band mask afterwards).
         """
         m_eval = values.shape[-1]
-        spec = sfft.fftn(
-            values.astype(complex, copy=False),
-            axes=self._spatial_axes(values),
-            workers=_FFT_WORKERS,
-        ) / float(m_eval) ** self.dim
+        spec = sfft.rfftn(
+            values, axes=self._spatial_axes(values), norm="forward", workers=_FFT_WORKERS
+        )
         if m_eval == self.modes_per_axis:
             return spec
         return self.gather(spec, m_eval)
@@ -225,9 +251,6 @@ class Grid:
         w = (self.side_length / m_eval) ** self.dim
         out = w * values.sum(axis=self._spatial_axes(values))
         return float(out) if np.ndim(out) == 0 else out
-
-    def with_side_length(self, side_length: float) -> "Grid":
-        return dataclasses.replace(self, side_length=side_length)
 
 
 def make_grid(dim: int, modes_per_axis: int, side_length: float = TWO_PI) -> Grid:

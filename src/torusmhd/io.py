@@ -1,9 +1,11 @@
 """On-disk formats: snapshots, series tables, configs, run manifests.
 
-Snapshot files hold raw spectral coefficients with a fixed 52-byte header,
-so a stored run can be replayed bit for bit.  The series table is plain CSV
-with a canonical column order; floats are written with ``repr`` so repeated
-runs of the same configuration produce byte-identical files.
+Snapshot files hold raw spectral coefficients on the full ``(M,)*dim``
+layout with a fixed 52-byte header, so a stored run can be replayed bit for
+bit; the reader checks their symmetry before it slices out the stored half.
+The series table is plain CSV with a canonical column order; floats are
+written with ``repr`` so repeated runs of the same configuration produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .dynamics import (
     SimResult,
     accumulator_columns,
 )
-from .field import SpectralField
+from .field import _HERMITIAN_TOL, SpectralField
 from .grid import Grid, make_grid
 
 __all__ = [
@@ -76,7 +78,7 @@ class Snapshot:
     time: float
     nu: float
     eta: float
-    coeffs: np.ndarray  # (components,) + grid.shape, complex128
+    coeffs: np.ndarray  # (components,) + (M,)*dim, the full layout, complex128
 
 
 def write_state_snapshot(path: str | Path, state: MhdState) -> None:
@@ -93,10 +95,10 @@ def write_state_snapshot(path: str | Path, state: MhdState) -> None:
         state.nu,
         state.eta,
     )
-    payload = np.concatenate([state.u.coeffs, state.b.coeffs], axis=0).astype("<c16", copy=False)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload.tobytes())
+        for c in (*state.u.coeffs, *state.b.coeffs):
+            fh.write(g.unfold(c).astype("<c16", copy=False).tobytes())
 
 
 def _read_header(path: Path) -> tuple[int, int, int, float, float, float, float]:
@@ -151,8 +153,14 @@ def read_state_snapshot(path: str | Path) -> MhdState:
             f"{path}: state snapshots need {2 * g.dim} components, "
             f"found {snap.coeffs.shape[0]}"
         )
-    u = SpectralField(g, snap.coeffs[: g.dim])
-    b = SpectralField(g, snap.coeffs[g.dim :])
+    # the slice below drops every k_last < 0 mode, so the symmetry that makes
+    # them redundant is checked on the full layout first
+    for name, full in (("u", snap.coeffs[: g.dim]), ("b", snap.coeffs[g.dim :])):
+        herm = max(float(np.abs(c - g.conj_reversed(c)).max()) for c in full)
+        if herm > _HERMITIAN_TOL * (float(np.abs(full).max()) or 1.0):
+            raise SnapshotFormatError(f"{path}: {name} is not Hermitian-symmetric (defect {herm:.3e})")
+    half = np.ascontiguousarray(snap.coeffs[..., : g.shape[-1]])
+    u, b = SpectralField(g, half[: g.dim]), SpectralField(g, half[g.dim :])
     try:
         u.validate()
         b.validate()

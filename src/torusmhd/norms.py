@@ -1,7 +1,9 @@
 """Norms, anisotropic functionals, time series and the energy ledger.
 
 Quadratic quantities (L2 norms, the energy, the W/X/Y/Z functionals) are
-evaluated exactly in coefficient space via Parseval.  General L^p norms
+evaluated exactly in coefficient space via Parseval, as
+:meth:`~torusmhd.grid.Grid.parseval_sum` over the stored half spectrum, where
+each mode with 0 < k_last < M/2 also stands for its conjugate.  General L^p norms
 sample the field on the fixed oversampled grid ``Grid.eval_modes`` (2M
 points per axis), accumulate |f|^2 one component at a time, and quadrature
 |f|^p there.  :func:`lp_norms` serves several magnitudes built from shared
@@ -94,8 +96,7 @@ def lp_norms(
 
 def l2_norm(field: SpectralField) -> float:
     """Parseval L2 norm, exact in coefficient space."""
-    g = field.grid
-    return float(np.sqrt(g.volume * np.sum(np.abs(field.coeffs) ** 2)))
+    return math.sqrt(field.grid.parseval_sum(np.abs(field.coeffs) ** 2))
 
 
 def energy(u: SpectralField, b: SpectralField | None = None) -> float:
@@ -104,12 +105,6 @@ def energy(u: SpectralField, b: SpectralField | None = None) -> float:
     if b is not None:
         e += l2_norm(b) ** 2
     return e
-
-
-def _weighted_energy(field: SpectralField, weight: np.ndarray) -> float:
-    return float(
-        field.grid.volume * np.sum(weight[None] * np.abs(field.coeffs) ** 2)
-    )
 
 
 def wxyz(
@@ -133,10 +128,9 @@ def wxyz(
     fields = [u] if b is None else [u, b]
     vals = [0.0, 0.0, 0.0, 0.0]
     for f in fields:
-        vals[0] += _weighted_energy(f, k2_plane)
-        vals[1] += _weighted_energy(f, k2)
-        vals[2] += _weighted_energy(f, k2_plane * k2)
-        vals[3] += _weighted_energy(f, k2 * k2)
+        power = np.abs(f.coeffs) ** 2
+        for i, weight in enumerate((k2_plane, k2, k2_plane * k2, k2 * k2)):
+            vals[i] += g.parseval_sum(weight * power)
     return WXYZ(*vals)
 
 
@@ -177,7 +171,8 @@ def accumulate(
     """Advance the running integral of value^r (or sup for r = inf) for a tag.
 
     Call once after each new record; the finite-r update is the trapezoid
-    rule on the last interval.  Returns the accumulator value.
+    rule on the last interval, and a finite record whose r-th power passes
+    the float range counts as inf.  Returns the accumulator value.
     """
     if tag not in series.records:
         raise KeyError(f"series has no tag '{tag}'")
@@ -191,8 +186,11 @@ def accumulate(
         if not (r > 0):
             raise ValueError(f"exponent r must be positive or inf, got {r}")
         cur = series.accumulators.get(key, 0.0)
-        if len(hist) >= 2:
-            cur += 0.5 * dt * (hist[-2] ** r + hist[-1] ** r)
+        if len(hist) >= 2 and dt != 0:
+            try:
+                cur += 0.5 * dt * (hist[-2] ** r + hist[-1] ** r)
+            except OverflowError:  # a finite record whose r-th power passes the float range
+                cur = math.inf
         series.accumulators[key] = cur
     return series.accumulators[key]
 

@@ -45,7 +45,7 @@ def field_from_function(grid, fn, components=1):
 def l2_inner(f, g):
     """L2 inner product summed over components, exact via Parseval."""
     assert f.grid == g.grid and f.components == g.components
-    return float(f.grid.volume * np.sum(np.conj(f.coeffs) * g.coeffs).real)
+    return f.grid.parseval_sum((np.conj(f.coeffs) * g.coeffs).real)
 
 
 def save_config(path, config):

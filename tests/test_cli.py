@@ -84,6 +84,28 @@ def test_simulate_reports_divergence(tmp_path, capsys):
     assert tio.read_manifest(out)["status"] == "diverged"
 
 
+def test_simulate_overflowing_records_end_divergent(tmp_path, capsys):
+    # a Taylor-Green array of amplitude 1e60 has a finite L^3 norm, whose
+    # sixth power passes the float range; one step short enough to stay
+    # finite completes with an infinite accumulator instead of crashing
+    cfg = write_config(
+        tmp_path / "run.json",
+        dt=1e-60,
+        t_end=1e-60,
+        snapshot_every=0,
+        initial=InitialCondition(preset="taylor_green", amplitude=1e60),
+        criteria=(CriterionSpec(Theorem.CLASSICAL_U, pairs=(("u", (3, 6)),)),),
+    )
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    assert "status: completed" in text
+    assert "criterion CLASSICAL_U: accumulator_divergent" in text
+    series = tio.read_series_csv(out / tio.SERIES_NAME)
+    assert all(math.isfinite(v) for v in series["L3_u"])
+    assert series["acc_CLASSICAL_U_u"][-1] == math.inf
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"viscosity": 1.0}))

@@ -63,14 +63,14 @@ def test_taylor_green_pressure_closed_form(grid2):
     amp = 2.0
     st = taylor_green_state(grid2, amplitude=amp)
     pi = pressure_solve(st.u)
-    want = np.zeros(grid2.shape, dtype=complex)
     m = grid2.modes_per_axis
-    # -amp^2 (cos 2x1 + cos 2x2)/4 in coefficients
+    want = np.zeros((m, m), dtype=complex)
+    # -amp^2 (cos 2x1 + cos 2x2)/4 in coefficients, on the full layout
     want[2 % m, 0] = -(amp**2) / 8
     want[-2 % m, 0] = -(amp**2) / 8
     want[0, 2 % m] = -(amp**2) / 8
     want[0, -2 % m] = -(amp**2) / 8
-    assert np.max(np.abs(pi.coeffs[0] - want)) < 1e-13 * amp**2
+    assert np.max(np.abs(grid2.unfold(pi.coeffs[0]) - want)) < 1e-13 * amp**2
 
 
 def test_taylor_green_rhs_is_pure_diffusion(grid2, grid4):
@@ -362,6 +362,49 @@ def test_simulate_diffusion_only_ledger_is_exact():
     diss_exact = led.initial_energy * -math.expm1(-2 * nu * cfg.t_end)
     assert led.dissipation_integral == pytest.approx(diss_exact, rel=1e-12)
     assert abs(led.defect) <= 1e-12 * led.initial_energy
+
+
+def test_simulate_ledger_order_under_strong_nonlinearity():
+    # the ledger defect is the integrator's own error: under a strongly
+    # nonlinear MHD flow it must fall at fourth order with the step
+    defects = []
+    for dt in (4e-3, 2e-3, 1e-3):
+        cfg = SimConfig(
+            dim=2,
+            modes_per_axis=32,
+            nu=0.02,
+            eta=0.02,
+            dt=dt,
+            t_end=0.2,
+            record_every=1000,
+            initial=InitialCondition(
+                preset="random_divfree", seed=3, decay=2.0, amplitude=20.0, b_amplitude=10.0
+            ),
+        )
+        led = simulate(cfg).ledger
+        defects.append(abs(led.defect) / led.initial_energy)
+    orders = [math.log2(a / b) for a, b in zip(defects, defects[1:])]
+    assert min(orders) >= 4.0, (defects, orders)
+
+
+def test_simulate_validates_each_state_once(monkeypatch):
+    import torusmhd.dynamics as dyn
+
+    checked = []
+    real = dyn.check_divfree
+    monkeypatch.setattr(dyn, "check_divfree", lambda f, name: checked.append(name) or real(f, name))
+    cfg = SimConfig(
+        dim=2,
+        modes_per_axis=16,
+        dt=1e-3,
+        t_end=0.005,
+        initial=InitialCondition(preset="random_divfree", seed=1, b_amplitude=0.5),
+    )
+    res = simulate(cfg)
+    # the initial state and one state per step, u and b each
+    assert checked == ["u", "b"] * (cfg.n_steps + 1)
+    assert res.final_state.time == 5 * 1e-3
+    assert res.series.times == [n * 1e-3 for n in range(6)]
 
 
 def test_simulate_criteria_columns_4d():

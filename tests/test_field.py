@@ -37,7 +37,7 @@ def test_component_and_mean(grid2):
 def test_validate_rejects_broken_symmetry(grid2):
     f = synth_random_field(grid2, 1, seed=3)
     c = f.coeffs.copy()
-    c[0, 1, 2] += 0.1
+    c[0, 1, 0] += 0.1  # on the self-conjugate plane k_last = 0, without c[-1, 0]
     broken = SpectralField(grid2, c)
     with pytest.raises(ValueError, match="Hermitian"):
         broken.validate()
@@ -131,12 +131,12 @@ def test_rescale_field_dilation_pointwise():
     m = 32
     xs_small = rf.grid.coordinates(m)
     vals = rf.sample(m)
-    # evaluate f at lam*x via its own coefficient sum
-    kap = np.array(np.meshgrid(g.wavenumbers, g.wavenumbers, indexing="ij"))
+    # evaluate f at lam*x via its own coefficient sum over the full lattice
+    full = g.unfold(f.coeffs)
     direct = np.zeros((m, m))
     for i, ki in enumerate(g.wavenumbers):
         for j, kj in enumerate(g.wavenumbers):
-            c = f.coeffs[0, i, j]
+            c = full[0, i, j]
             if c == 0:
                 continue
             direct = direct + np.real(

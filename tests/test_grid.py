@@ -16,7 +16,7 @@ def test_make_grid_validation():
         make_grid(2, 16, side_length=0.0)
     g = make_grid(3, 12, side_length=3.0)
     assert g.band_limit == 4
-    assert g.shape == (12, 12, 12)
+    assert g.shape == (12, 12, 7)  # the rfftn half layout
     assert g.volume == pytest.approx(27.0)
     assert g.eval_modes == 24
 
@@ -36,17 +36,13 @@ def test_wavenumbers_layout(grid2):
 
 
 def test_band_mask_counts(grid2):
-    # (2K+1)^dim surviving modes
+    # (2K+1)^(dim-1) (K+1) surviving modes of the half layout
     kk = 2 * grid2.band_limit + 1
-    assert int(grid2.band_mask.sum()) == kk**2
+    assert int(grid2.band_mask.sum()) == kk * (grid2.band_limit + 1)
 
 
 def test_sample_analyze_roundtrip(grid2):
-    rng = np.random.default_rng(0)
-    c = rng.standard_normal((1,) + grid2.shape) + 1j * rng.standard_normal(
-        (1,) + grid2.shape
-    )
-    c = 0.5 * (c + grid2.conj_reversed(c)) * grid2.band_mask
+    c = _banded(grid2, 0)
     vals = grid2.sample(c)
     back = grid2.analyze(vals)
     assert np.abs(back - c).max() < 1e-13
@@ -55,8 +51,7 @@ def test_sample_analyze_roundtrip(grid2):
 def test_sample_matches_direct_sum():
     g = make_grid(2, 8)
     c = np.zeros((1,) + g.shape, dtype=complex)
-    c[0, 1, 2] = 0.3 - 0.2j
-    c[0, -1, -2] = 0.3 + 0.2j
+    c[0, 1, 2] = 0.3 - 0.2j  # its partner c[-1, -2] = 0.3 + 0.2j is implied
     xs = g.coordinates(g.eval_modes)
     direct = 2 * np.real((0.3 - 0.2j) * np.exp(1j * (xs[0] + 2 * xs[1])))
     assert np.abs(g.sample(c)[0] - direct).max() < 1e-13
@@ -66,7 +61,7 @@ def test_scatter_gather_inverse(grid2):
     rng = np.random.default_rng(1)
     c = rng.standard_normal((3,) + grid2.shape)
     fine = grid2.scatter(c.astype(complex), 48)
-    assert fine.shape == (3, 48, 48)
+    assert fine.shape == (3, 48, 25)
     back = grid2.gather(fine, 48)
     assert np.array_equal(back, c.astype(complex))
     with pytest.raises(ValueError):
@@ -74,15 +69,12 @@ def test_scatter_gather_inverse(grid2):
 
 
 def test_quadrature_parseval(grid2):
-    rng = np.random.default_rng(2)
-    c = rng.standard_normal((1,) + grid2.shape) + 1j * rng.standard_normal(
-        (1,) + grid2.shape
-    )
-    c = 0.5 * (c + grid2.conj_reversed(c)) * grid2.band_mask
+    c = _banded(grid2, 2)
     vals = grid2.sample(c)
-    # int |f|^2 = V * sum |c_k|^2 for band-limited f on the padded grid
+    # int |f|^2 = V * sum |c_k|^2 over the full lattice for band-limited f
+    # on the padded grid
     lhs = grid2.quadrature(vals**2)
-    rhs = grid2.volume * float(np.sum(np.abs(c) ** 2))
+    rhs = grid2.volume * float(np.sum(np.abs(grid2.unfold(c)) ** 2))
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -127,9 +119,11 @@ def test_alias_free_modes_has_no_cliff():
 
 
 def _banded(g, seed):
+    # symmetrised on the full (M,)*dim layout, then cut to the stored half
     rng = np.random.default_rng(seed)
-    c = rng.standard_normal((1,) + g.shape) + 1j * rng.standard_normal((1,) + g.shape)
-    return 0.5 * (c + g.conj_reversed(c)) * g.band_mask
+    shape = (1,) + (g.modes_per_axis,) * g.dim
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return 0.5 * (c + g.conj_reversed(c))[..., : g.shape[-1]] * g.band_mask
 
 
 @pytest.mark.parametrize("dim,m", [(2, 12), (2, 16), (3, 12)])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torusmhd.criteria import CriterionSpec, Theorem
-from torusmhd.dynamics import InitialCondition, MhdState, SimConfig, simulate
+from torusmhd.dynamics import InitialCondition, MhdState, SimConfig, simulate, step_ifrk4
 from torusmhd.field import synth_random_divfree, synth_random_field
 from torusmhd.grid import make_grid
 from torusmhd import io as tio
@@ -53,13 +53,29 @@ def test_state_snapshot_roundtrip(grid2, tmp_path):
     assert other.read_bytes() == path.read_bytes()
 
 
+def test_stepped_state_snapshot_roundtrip_is_bit_exact(grid3, tmp_path):
+    # a stepped state's k_last = 0 plane is Hermitian only to rounding; the
+    # file holds its full layout and the read slices the half back out
+    st = small_state(grid3)
+    for _ in range(2):
+        st, _dinc = step_ifrk4(st, 1e-3)
+    path = tmp_path / tio.state_filename(2)
+    tio.write_state_snapshot(path, st)
+    assert path.stat().st_size == 52 + 16 * 6 * 12**3
+    back = tio.read_state_snapshot(path)
+    assert back.time == st.time
+    assert np.array_equal(back.u.coeffs, st.u.coeffs)
+    assert np.array_equal(back.b.coeffs, st.b.coeffs)
+
+
 def test_scalar_snapshot_roundtrip(grid2, tmp_path):
     f = synth_random_field(grid2, 1, seed=3)
     path = tmp_path / "pi.spc4"
-    write_raw_snapshot(path, grid2, f.coeffs, time=0.25)
+    full = grid2.unfold(f.coeffs)  # files hold the full (M,)*dim layout
+    write_raw_snapshot(path, grid2, full, time=0.25)
     snap = tio.read_snapshot(path)
     assert snap.time == 0.25
-    assert np.array_equal(snap.coeffs, f.coeffs)
+    assert np.array_equal(snap.coeffs, full)
 
 
 def header_bytes(**over):
@@ -140,15 +156,17 @@ def test_snapshot_errors_name_the_file(tmp_path):
 def test_read_state_snapshot_needs_full_state(grid2, tmp_path):
     f = synth_random_field(grid2, 1, seed=2)
     path = tmp_path / "state_00000001.spc4"
-    write_raw_snapshot(path, grid2, f.coeffs)
+    write_raw_snapshot(path, grid2, grid2.unfold(f.coeffs))
     with pytest.raises(tio.SnapshotFormatError, match="components"):
         tio.read_state_snapshot(path)
 
 
 def test_state_snapshot_refuses_broken_fields(tmp_path):
     # dim 3, M = 12 keeps |k| <= K = 4; every field below is divergence-free
-    # unless said otherwise, so only the invariant named breaks
+    # unless said otherwise, so only the invariant named breaks.  Files hold
+    # the full (M,)*dim layout.
     g = make_grid(3, 12)
+    shape = (6, 12, 12, 12)
     path = tmp_path / tio.state_filename(0)
 
     def refused(coeffs, match):
@@ -157,23 +175,23 @@ def test_state_snapshot_refuses_broken_fields(tmp_path):
             tio.read_state_snapshot(path)
         assert path.name in str(info.value)
 
-    outside = np.zeros((6,) + g.shape, dtype=complex)
+    outside = np.zeros(shape, dtype=complex)
     outside[1, 5, 0, 0] = outside[1, -5, 0, 0] = 0.3  # a real mode at k1 = 5 > K
     refused(outside, "band")
-    lone = np.zeros((6,) + g.shape, dtype=complex)
+    lone = np.zeros(shape, dtype=complex)
     lone[1, 1, 0, 0] = 0.2j  # no conjugate partner at k1 = -1
     refused(lone, "Hermitian")
-    lone_b = np.zeros((6,) + g.shape, dtype=complex)
+    lone_b = np.zeros(shape, dtype=complex)
     lone_b[4, 1, 0, 0] = 0.2j  # the same in b
     refused(lone_b, "Hermitian")
-    divergent = np.zeros((6,) + g.shape, dtype=complex)
+    divergent = np.zeros(shape, dtype=complex)
     divergent[0, 1, 0, 0] = divergent[0, -1, 0, 0] = 0.3  # u1 along k1
     refused(divergent, "divergence-free")
     fine = outside.copy()
     fine[1, 5, 0, 0] = fine[1, -5, 0, 0] = 0.0
     fine[1, 1, 0, 0], fine[1, -1, 0, 0] = 0.2j, -0.2j
     write_raw_snapshot(path, g, fine, nu=0.1, eta=0.1)
-    assert np.array_equal(tio.read_state_snapshot(path).u.coeffs, fine[:3])
+    assert np.array_equal(tio.read_state_snapshot(path).u.coeffs, fine[:3, ..., : g.shape[-1]])
 
 
 def test_state_snapshot_refuses_nan_diffusivity(grid2, tmp_path):

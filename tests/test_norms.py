@@ -138,6 +138,16 @@ def test_accumulate_sup_mode():
     assert accumulate(s, "f", math.inf, 1.0) == 9.0
 
 
+def test_accumulate_overflow_is_inf():
+    # finite records whose r-th power is past the float range
+    s = NormSeries()
+    s.record(0.0, {"f": 1e200})
+    s.record(1.0, {"f": 1e200})
+    assert accumulate(s, "f", 2.0, 0.0) == 0.0  # a zero-width interval adds nothing
+    assert accumulate(s, "f", 2.0, 0.5) == math.inf
+    assert accumulate(s, "f", math.inf, 0.5, key="sup") == 1e200
+
+
 def test_accumulate_named_key():
     s = NormSeries()
     s.record(0.0, {"f": 1.0})
