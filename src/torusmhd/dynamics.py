@@ -1,15 +1,18 @@
 """Incompressible MHD dynamics on the torus.
 
 The momentum and induction equations are advanced in coefficient space.
-Quadratic products follow the 3/2 rule: u and b are sampled once on the
+Quadratic products follow the 3/2 rule: u and b are sampled together on the
 smallest even fast FFT size above 3K (``Grid.alias_free_modes(2, K)``), where
-every product of two K-band fields is exact on the retained band.  One pair
-loop analyses the stress u_i u_j - b_i b_j, shared by the momentum term and
-:func:`pressure_solve`, and the antisymmetric induction u_i b_j - b_i u_j.
-The pressure is eliminated per mode by the Leray projection, and diffusion
-is integrated exactly by the integrating factor inside the RK4 stages.  A
-scalar quadrature of the dissipation rate rides along the same stages so the
-energy ledger closes to the integrator's own order.
+every product of two K-band fields is exact on the retained band.  One loop
+forms the stress u_i u_j - b_i b_j, shared by the momentum term and
+:func:`pressure_solve`, then the antisymmetric induction u_i b_j - b_i u_j,
+and analyses them dim at a time.  The pressure is eliminated per mode by the
+Leray projection, and diffusion is integrated exactly by the integrating
+factor inside the RK4 stages.  A scalar quadrature of the dissipation rate
+rides along the same stages so the energy ledger closes to the integrator's
+own order.  Its endpoint nonlinearity, cached on the new state, is the next
+step's first stage ("first same as last", Dormand & Prince 1980): a viscous
+run of N steps makes 4N + 1 nonlinear evaluations, an inviscid one 4N.
 
 Time-step guidance: diffusion costs nothing (it is exact), so stability is
 set by advection.  A conservative bound is dt <= 1.5 / (kappa_max * V_max)
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -59,6 +63,8 @@ class MhdState:
 
     Both fields carry one component per axis, share the grid, and must be
     divergence-free to rounding.  NSE runs simply carry b identically zero.
+    Nothing writes into a state's arrays once it is built (the presets fill
+    theirs first), which is what lets :attr:`nonlinearity` be cached.
     """
 
     u: SpectralField
@@ -88,6 +94,13 @@ class MhdState:
     def has_b(self) -> bool:
         return bool(np.any(self.b.coeffs))
 
+    @cached_property
+    def nonlinearity(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The projected (N_u, N_b), N_b None without b, computed on first use
+        (overflowing quietly) and kept: a step's last stage is the next's first."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _nonlinear(self.grid, self.u.coeffs, self.b.coeffs if self.has_b else None)
+
 
 # -- nonlinear terms ----------------------------------------------------------
 
@@ -96,17 +109,26 @@ def _product_samples(
     g: Grid, u: np.ndarray, b: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     m = g.alias_free_modes(2, g.band_limit)
-    return g.sample(u, m), (g.sample(b, m) if b is not None else None)
+    both = g.sample(u if b is None else np.concatenate((u, b)), m)
+    return both[: g.dim], (both[g.dim :] if b is not None else None)
 
 
-def _stresses(g: Grid, us: np.ndarray, bs: np.ndarray | None):
-    """(i, j, S_ij) for i <= j, S_ij the analysed stress u_i u_j - b_i b_j."""
-    for i in range(g.dim):
-        for j in range(i, g.dim):
-            prod = us[i] * us[j]
+def _products(g: Grid, us: np.ndarray, bs: np.ndarray | None, induction: bool = True):
+    """(kind, i, j, spectrum) of S_ij = u_i u_j - b_i b_j, i <= j, then (with b and
+    ``induction``) of A_ij = u_i b_j - b_i u_j, i < j, analysed dim at a time."""
+    n = g.dim
+    pairs = [("S", i, j) for i in range(n) for j in range(i, n)]
+    if bs is not None and induction:
+        pairs += [("A", i, j) for i in range(n) for j in range(i + 1, n)]
+    buf = np.empty((n,) + us.shape[1:])
+    for chunk in (pairs[start : start + n] for start in range(0, len(pairs), n)):
+        for out, (kind, i, j) in zip(buf, chunk):
+            x, y = (bs, us) if kind == "A" else (us, bs)
+            np.multiply(us[i], x[j], out=out)
             if bs is not None:
-                prod = prod - bs[i] * bs[j]
-            yield i, j, g.analyze(prod)
+                out -= bs[i] * y[j]
+        for (kind, i, j), spec in zip(chunk, g.analyze(buf[: len(chunk)])):
+            yield kind, i, j, spec
 
 
 def _nonlinear(
@@ -117,18 +139,20 @@ def _nonlinear(
     k = g.wave_axes
     du = np.zeros((g.dim,) + g.shape, dtype=complex)
     db = np.zeros_like(du) if b is not None else None
-    for i, j, s in _stresses(g, us, bs):
-        du[j] -= 1j * k[i] * s
-        if i != j:
-            du[i] -= 1j * k[j] * s
-            if bs is not None:
-                # the induction tensor is antisymmetric: A_ji = -A_ij
-                a = g.analyze(us[i] * bs[j] - bs[i] * us[j])
-                db[j] -= 1j * k[i] * a
-                db[i] += 1j * k[j] * a
-    du = _leray_raw(g, du * g.band_mask[None])
+    for kind, i, j, s in _products(g, us, bs):
+        if kind == "S":
+            du[j] -= 1j * k[i] * s
+            if i != j:
+                du[i] -= 1j * k[j] * s
+        else:
+            # the induction tensor is antisymmetric: A_ji = -A_ij
+            db[j] -= 1j * k[i] * s
+            db[i] += 1j * k[j] * s
+    du *= g.band_mask
+    du = _leray_raw(g, du)
     if db is not None:
-        db = _leray_raw(g, db * g.band_mask[None])
+        db *= g.band_mask
+        db = _leray_raw(g, db)
     return du, db
 
 
@@ -182,37 +206,40 @@ def _dissipation_increment(
     dt: float,
     diff: float,
     f0: np.ndarray,
-    stages: tuple[np.ndarray, ...],
+    stages: tuple[np.ndarray, np.ndarray, np.ndarray],
     n_end: np.ndarray,
     e: np.ndarray,
-    ei: np.ndarray,
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
 ) -> float:
     """∫ 2 diff ||grad field||^2 over one step, from slow-variable data.
 
     The slow variable is the integrating-factor variable
     v(s) = e^{+diff k^2 s} field(s): ``f0`` is the field at the step start,
-    ``stages`` the four RK4 stage nonlinearities, ``n_end`` the nonlinearity
-    at the completed step, and ``e``/``ei`` the rounded half-step decay and
-    unwinding exponentials the stepper applies.  The d0 term is anchored on
-    the squared per-step decay assembled from ``e`` instead of a fresh
-    exp(-z), which keeps the pure-diffusion part of the ledger consistent
-    with the state update to rounding noise; the cubic Hermite correction
-    then carries only the O(dt) nonlinear modulation, where weight roundoff
-    is harmless.
+    ``stages`` the RK4 nonlinearities (n1, n2 + n3, n4), ``n_end`` that of
+    the completed step, ``e`` the rounded half-step decay the stepper applies,
+    and ``weights`` the :func:`_hermite_weights` of z = 2 diff dt k^2, shared
+    by u and b when nu = eta.  The d0 term is anchored on the squared per-step
+    decay assembled from ``e`` instead of a fresh exp(-z), which keeps the
+    pure-diffusion part of the ledger consistent with the state update to
+    rounding noise; the cubic Hermite correction then carries only the O(dt)
+    nonlinear modulation, where weight roundoff is harmless.
     """
     if diff == 0.0:
         return 0.0
-    n1, n2, n3, n4 = stages
+    # unwinding exponentials for the slow-variable samples; modes past the
+    # fitted cutoff never use them, so the exponent can be clamped
+    ei = np.exp(np.minimum(diff * g.k_squared[None] * (dt / 2), _FITTED_Z_CUT / 2))
+    n1, n23, n4 = stages
     # the unwound endpoint is assembled from the stage terms directly so no
     # e^{+x} e^{-x} round trip ever touches the O(1) f0 part
-    v1 = f0 + (dt / 6) * (n1 + 2.0 * (ei * (n2 + n3)) + ei * (ei * n4))
+    v1 = f0 + (dt / 6) * (n1 + 2.0 * (ei * n23) + ei * (ei * n4))
     # one-sided derivatives of |v|^2 at the step ends, in units of the step
     d0p = 2.0 * dt * np.sum((f0.conj() * n1).real, axis=0)
     d1p = 2.0 * dt * np.sum((v1.conj() * (ei * (ei * n_end))).real, axis=0)
     d0, d1 = _mode_power(f0), _mode_power(v1)
     decay = ((e * e) * (e * e))[0]
     z = (2.0 * diff * dt) * g.k_squared
-    w1, wp0, wp1 = _hermite_weights(z)
+    w1, wp0, wp1 = weights
     corr = z * ((d1 - d0) * w1 + d0p * wp0 + d1p * wp1)
     # past the cutoff the clamped unwinding makes the end samples
     # meaningless, so the slow factor is frozen at its start value
@@ -239,7 +266,7 @@ def pressure_solve(u: SpectralField, b: SpectralField | None = None) -> Spectral
         raise ValueError("pressure_solve needs one velocity component per axis")
     us, bs = _product_samples(g, u.coeffs, b.coeffs if b is not None else None)
     pi_hat = np.zeros(g.shape, dtype=complex)
-    for i, j, s in _stresses(g, us, bs):
+    for _kind, i, j, s in _products(g, us, bs, induction=False):
         w = g.wave_axes[i] * g.wave_axes[j] / g.k_squared_safe
         pi_hat -= (w if i == j else 2.0 * w) * s
     pi_hat *= g.band_mask
@@ -250,13 +277,10 @@ def pressure_solve(u: SpectralField, b: SpectralField | None = None) -> Spectral
 def mhd_rhs(state: MhdState) -> tuple[SpectralField, SpectralField]:
     """Full right-hand side (nonlinear transport + diffusion), projected."""
     g = state.grid
-    b_arr = state.b.coeffs if state.has_b else None
-    du, db = _nonlinear(g, state.u.coeffs, b_arr)
+    du, db = state.nonlinearity
     k2 = g.k_squared[None]
     du = du - state.nu * k2 * state.u.coeffs
-    if db is None:
-        db = np.zeros_like(state.b.coeffs)
-    db = db - state.eta * k2 * state.b.coeffs
+    db = (0.0 if db is None else db) - state.eta * k2 * state.b.coeffs
     return SpectralField(g, du), SpectralField(g, db)
 
 
@@ -264,72 +288,62 @@ def step_ifrk4(state: MhdState, dt: float) -> tuple[MhdState, float]:
     """One integrating-factor RK4 step.
 
     Diffusion is applied exactly through the integrating factor; the RK4
-    stages see only the nonlinear terms.  The new state is validated once,
-    at its time :func:`_next_time`.  Returns the advanced state and
-    the dissipation integral over the step, quadratured per mode from the
-    endpoint values and derivatives of the slow variable so the energy
-    ledger closes below the integrator's own energy residual.  Raises
-    :class:`DivergedError` when the step produces non-finite values.
+    stages see only the nonlinear terms, the first of them the state's cached
+    :attr:`MhdState.nonlinearity`; stage states die once evaluated, and n2, n3
+    live on only as their sum.  Returns the new state, validated once at its
+    time :func:`_next_time`, and the dissipation integral over the step,
+    quadratured per mode from the end values and slopes of the slow variable
+    (the end slope is the new state's nonlinearity, the next step's first
+    stage) so the energy ledger closes below the integrator's own residual.
+    Raises :class:`DivergedError` when the step produces non-finite values.
     """
     if not (dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     g = state.grid
-    u0 = state.u.coeffs
-    b0 = state.b.coeffs
+    u0, b0 = state.u.coeffs, state.b.coeffs
     has_b = state.has_b
     nu, eta = state.nu, state.eta
     k2 = g.k_squared[None]
-    eu = np.exp(-nu * k2 * (dt / 2))
-    eb = np.exp(-eta * k2 * (dt / 2))
-    barg = b0 if has_b else None
-
-    # unwinding exponentials for the ledger's slow-variable samples; modes
-    # past the fitted cutoff never use them, so the exponent can be clamped
-    eui = np.exp(np.minimum(nu * k2 * (dt / 2), _FITTED_Z_CUT / 2))
-    ebi = np.exp(np.minimum(eta * k2 * (dt / 2), _FITTED_Z_CUT / 2))
+    h = dt / 2
+    eu = np.exp(-nu * k2 * h)
+    eb = np.exp(-eta * k2 * h)
 
     # a blowup ends as DivergedError below, so the overflow on the way there
     # is expected and not worth a warning per stage
     with np.errstate(over="ignore", invalid="ignore"):
-        n1u, n1b = _nonlinear(g, u0, barg)
-
-        u2 = eu * (u0 + (dt / 2) * n1u)
-        b2 = eb * (b0 + (dt / 2) * n1b) if has_b else b0
-        n2u, n2b = _nonlinear(g, u2, b2 if has_b else None)
-
-        u3 = eu * u0 + (dt / 2) * n2u
-        b3 = eb * b0 + (dt / 2) * n2b if has_b else b0
-        n3u, n3b = _nonlinear(g, u3, b3 if has_b else None)
-
+        n1u, n1b = state.nonlinearity
+        n2u, n2b = _nonlinear(g, eu * (u0 + h * n1u), eb * (b0 + h * n1b) if has_b else None)
+        n3u, n3b = _nonlinear(g, eu * u0 + h * n2u, eb * b0 + h * n2b if has_b else None)
         u4 = eu * (eu * u0 + dt * n3u)
-        b4 = eb * (eb * b0 + dt * n3b) if has_b else b0
-        n4u, n4b = _nonlinear(g, u4, b4 if has_b else None)
-
-        u_new = eu * (eu * u0 + (dt / 6) * (eu * n1u + 2 * (n2u + n3u))) + (
-            dt / 6
-        ) * n4u
+        b4 = eb * (eb * b0 + dt * n3b) if has_b else None
+        n23u = np.add(n2u, n3u, out=n2u)
+        n23b = np.add(n2b, n3b, out=n2b) if has_b else None
+        del n2u, n2b, n3u, n3b
+        n4u, n4b = _nonlinear(g, u4, b4)
+        del u4, b4
+        u_new = eu * (eu * u0 + (dt / 6) * (eu * n1u + 2 * n23u)) + (dt / 6) * n4u
+        b_new = b0
         if has_b:
-            b_new = eb * (eb * b0 + (dt / 6) * (eb * n1b + 2 * (n2b + n3b))) + (
-                dt / 6
-            ) * n4b
-        else:
-            b_new = b0
+            b_new = eb * (eb * b0 + (dt / 6) * (eb * n1b + 2 * n23b)) + (dt / 6) * n4b
 
+        t_new = _next_time(state.time, dt)
+        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(b_new))):
+            raise DivergedError(f"non-finite coefficients at t={t_new:.6g}")
+        new = MhdState(SpectralField(g, u_new), SpectralField(g, b_new), t_new, nu, eta)
+
+        dinc = 0.0
         if nu != 0.0 or eta != 0.0:
-            # endpoint slope of the slow variable needs the nonlinearity at
-            # the completed step; a fifth evaluation, spent only here
-            nnu, nnb = _nonlinear(g, u_new, b_new if has_b else None)
-            dinc = _dissipation_increment(g, dt, nu, u0, (n1u, n2u, n3u, n4u), nnu, eu, eui)
+            nnu, nnb = new.nonlinearity
+            rates = {nu, eta} if has_b else {nu}
+            weights = {d: _hermite_weights((2.0 * d * dt) * g.k_squared) for d in rates if d}
+            dinc = _dissipation_increment(g, dt, nu, u0, (n1u, n23u, n4u), nnu, eu, weights.get(nu))
             if has_b:
+                # a b that decayed to exactly zero leaves the new state without N_b
+                nnb = 0.0 if nnb is None else nnb
                 dinc += _dissipation_increment(
-                    g, dt, eta, b0, (n1b, n2b, n3b, n4b), nnb, eb, ebi
+                    g, dt, eta, b0, (n1b, n23b, n4b), nnb, eb, weights.get(eta)
                 )
-        else:
-            dinc = 0.0
-    t_new = _next_time(state.time, dt)
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(b_new))):
-        raise DivergedError(f"non-finite coefficients at t={t_new:.6g}")
-    return MhdState(SpectralField(g, u_new), SpectralField(g, b_new), t_new, nu, eta), dinc
+    return new, dinc
 
 
 def _next_time(t: float, dt: float) -> float:

@@ -186,7 +186,10 @@ def check_divfree(field: SpectralField, name: str) -> None:
 def _leray_raw(g: Grid, coeffs: np.ndarray) -> np.ndarray:
     div = sum(g.wave_axes[a] * coeffs[a] for a in range(g.dim))
     frac = div / g.k_squared_safe
-    return coeffs - np.stack([g.wave_axes[a] * frac for a in range(g.dim)])
+    out = coeffs.copy()
+    for a in range(g.dim):
+        out[a] -= g.wave_axes[a] * frac
+    return out
 
 
 def rescale_field(field: SpectralField, lam: int) -> SpectralField:

@@ -91,6 +91,8 @@ def lp_norms(
                         float(mag.max()) if p == math.inf
                         else float(grid.quadrature(mag**p) ** (1.0 / p))
                     )
+                del mag
+        del sq  # freed before the next part is sampled, not when replaced
     return out
 
 

@@ -10,7 +10,12 @@ import math
 import numpy as np
 import pytest
 
-from torusmhd.dynamics import MhdState, _dissipation_increment, dissipation_rate
+from torusmhd.dynamics import (
+    MhdState,
+    _dissipation_increment,
+    _hermite_weights,
+    dissipation_rate,
+)
 from torusmhd.field import SpectralField, synth_random_divfree
 from torusmhd.grid import make_grid
 from torusmhd.norms import energy, l2_norm, wxyz
@@ -166,9 +171,9 @@ def test_parseval_sums_match_the_full_layout(dim, m):
     # fraction 1 - e^{-2 nu k^2 dt} of its power
     nu, dt = 0.4, 0.05
     e = np.exp(-nu * g.k_squared[None] * (dt / 2))
-    ei = np.exp(np.minimum(nu * g.k_squared[None] * (dt / 2), 20.0))
     zero = np.zeros_like(u.coeffs)
-    got = _dissipation_increment(g, dt, nu, u.coeffs, (zero,) * 4, zero, e, ei)
+    weights = _hermite_weights((2.0 * nu * dt) * g.k_squared)
+    got = _dissipation_increment(g, dt, nu, u.coeffs, (zero,) * 3, zero, e, weights)
     ef = np.exp(-nu * k2 * (dt / 2))
     assert rel(got, full_sum(1.0 - (ef * ef) * (ef * ef), fu)) <= 1e-14
 
