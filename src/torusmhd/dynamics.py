@@ -148,10 +148,8 @@ def _nonlinear(
             # the induction tensor is antisymmetric: A_ji = -A_ij
             db[j] -= 1j * k[i] * s
             db[i] += 1j * k[j] * s
-    du *= g.band_mask
     du = _leray_raw(g, du)
     if db is not None:
-        db *= g.band_mask
         db = _leray_raw(g, db)
     return du, db
 
@@ -269,7 +267,6 @@ def pressure_solve(u: SpectralField, b: SpectralField | None = None) -> Spectral
     for _kind, i, j, s in _products(g, us, bs, induction=False):
         w = g.wave_axes[i] * g.wave_axes[j] / g.k_squared_safe
         pi_hat -= (w if i == j else 2.0 * w) * s
-    pi_hat *= g.band_mask
     pi_hat[(0,) * g.dim] = 0.0
     return SpectralField(g, pi_hat[None])
 
@@ -478,7 +475,7 @@ def taylor_green_state(
     """Planar vortex array in the first two axes; exactly pressure-balanced
     so the nonlinearity is a pure gradient and the flow decays by diffusion."""
     # u1 = cos(k x1) sin(k x2), u2 = -sin(k x1) cos(k x2) with k = 2*pi/L: the
-    # modes (s1, s2) = (+-1, +-1), written on the full layout and cut to the half
+    # modes (s1, s2) = (+-1, +-1), written on the full layout and folded to the band
     m = grid.modes_per_axis
     coeffs = np.zeros((grid.dim,) + (m,) * grid.dim, dtype=complex)
     q = amplitude / 4.0
@@ -487,7 +484,7 @@ def taylor_green_state(
             at = (s1 % m, s2 % m) + (0,) * (grid.dim - 2)
             coeffs[(0,) + at] = -1j * q * s2
             coeffs[(1,) + at] = 1j * q * s1
-    u = SpectralField(grid, coeffs[..., : grid.shape[-1]].copy())
+    u = SpectralField(grid, grid.fold(coeffs))
     return MhdState(u, SpectralField.zeros(grid, grid.dim), 0.0, nu, eta)
 
 
@@ -498,7 +495,7 @@ def single_mode_state(
     exact evolution is pure diffusive decay of the single mode."""
     coeffs = np.zeros((grid.dim,) + grid.shape, dtype=complex)
     sel1 = (1, 1) + (0,) * (grid.dim - 1)
-    selm = (1, grid.modes_per_axis - 1) + (0,) * (grid.dim - 1)
+    selm = (1, -1) + (0,) * (grid.dim - 1)
     coeffs[sel1] = -0.5j * amplitude
     coeffs[selm] = 0.5j * amplitude
     u = SpectralField(grid, coeffs)
@@ -636,21 +633,18 @@ class SimResult:
     # criterion label -> "accumulators_finite", "accumulator_divergent" or "diverged"
     verdicts: dict[str, str]
     final_state: MhdState
-    states: list[tuple[float, MhdState, SpectralField | None]]
 
 
 def simulate(
     config: SimConfig,
     initial: MhdState | None = None,
     snapshot_sink: Callable[[int, MhdState, SpectralField | None], None] | None = None,
-    keep_states: bool = False,
 ) -> SimResult:
     """Run the configured simulation.
 
     Records diagnostics on the record cadence, hands states on the snapshot
-    cadence to ``snapshot_sink`` (and keeps them in memory when
-    ``keep_states``), and returns cleanly with status ``"diverged"`` if the
-    integration blows up.
+    cadence to ``snapshot_sink``, and returns cleanly with status
+    ``"diverged"`` if the integration blows up.
     """
     grid = config.make_grid()
     if initial is not None and initial.grid != grid:
@@ -658,7 +652,6 @@ def simulate(
     state = initial if initial is not None else initial_state(config, grid)
     ledger = EnergyLedger(energy(state.u, state.b if state.has_b else None))
     recorder = Recorder(config)
-    states: list[tuple[float, MhdState, SpectralField | None]] = []
     n_steps = config.n_steps
     status = "completed"
 
@@ -669,11 +662,8 @@ def simulate(
             at_snapshot = config.snapshot_every and (
                 n % config.snapshot_every == 0 or n == n_steps
             )
-            if at_snapshot:
-                if snapshot_sink is not None:
-                    snapshot_sink(n, state, pi)
-                if keep_states:
-                    states.append((t, state, pi))
+            if at_snapshot and snapshot_sink is not None:
+                snapshot_sink(n, state, pi)
         if n == n_steps:
             break
         try:
@@ -691,5 +681,5 @@ def simulate(
             else "accumulators_finite" if finite else "accumulator_divergent"
         )
     return SimResult(
-        status, config, grid, recorder.series, ledger, recorder.history, verdicts, state, states
+        status, config, grid, recorder.series, ledger, recorder.history, verdicts, state
     )

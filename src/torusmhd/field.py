@@ -4,6 +4,8 @@ Everything here is exact in coefficient space: derivatives and Fourier
 multipliers act mode by mode, the Leray projection is the per-mode
 orthogonal projection onto divergence-free vectors, and rescaling moves a
 field onto the shrunken torus without touching its integer mode content.
+A field stores only the band |k_a| <= K (see :mod:`torusmhd.grid`), so it is
+band-limited by construction.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "sample_part",
 ]
 
-_HERMITIAN_TOL = 1e-12
 _DIVFREE_TOL = 1e-10
 
 
@@ -36,12 +37,11 @@ _DIVFREE_TOL = 1e-10
 class SpectralField:
     """A real field stored as complex Fourier coefficients.
 
-    ``coeffs`` has shape ``(components,) + grid.shape``, the ``rfftn`` half
-    layout: the modes with k_last < 0 are conj(c(-k)) of stored ones, so only
-    the self-conjugate planes k_last = 0 and M/2 can break the symmetry of a
-    real field.  The named constructors guarantee it and the band limit;
-    :meth:`validate` re-checks both at the io boundary, on every field
-    :func:`torusmhd.io.read_state_snapshot` loads.
+    ``coeffs`` has shape ``(components,) + grid.shape``, the band's k_last >= 0
+    half: the modes with k_last < 0 are conj(c(-k)) of stored ones, and no mode
+    outside the band exists.  Only the self-conjugate plane k_last = 0 can
+    break the symmetry of a real field; the named constructors keep it, and
+    :func:`torusmhd.io.read_state_snapshot` checks it on the files it reads.
     """
 
     grid: Grid
@@ -68,8 +68,7 @@ class SpectralField:
         vals = np.asarray(values, dtype=float)
         if vals.ndim == grid.dim:
             vals = vals[None]
-        coeffs = grid.analyze(vals) * grid.band_mask
-        return cls(grid, coeffs)
+        return cls(grid, grid.analyze(vals))
 
     # -- basic queries ----------------------------------------------------
 
@@ -82,28 +81,6 @@ class SpectralField:
 
     def sample(self, m_eval: int | None = None) -> np.ndarray:
         return self.grid.sample(self.coeffs, m_eval)
-
-    def validate(self, tol: float = _HERMITIAN_TOL) -> None:
-        """Raise if the invariants (real field, band limit, finite) fail.
-
-        Checks one component at a time, unfolded to the full layout, against
-        the whole field's scale, so the temporaries stay at one component's size.
-        """
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("field coefficients contain non-finite entries")
-        scale = max(float(np.abs(c).max()) for c in self.coeffs) or 1.0
-        for c in self.coeffs:
-            full = self.grid.unfold(c)
-            herm = np.abs(full - self.grid.conj_reversed(full)).max()
-            if herm > tol * scale:
-                raise ValueError(
-                    f"field is not Hermitian-symmetric (defect {herm:.3e}, scale {scale:.3e})"
-                )
-            outside = np.abs(c * ~self.grid.band_mask).max()
-            if outside > tol * scale:
-                raise ValueError(
-                    f"field has content outside the band limit (max {outside:.3e})"
-                )
 
     # -- arithmetic -------------------------------------------------------
 
@@ -211,7 +188,7 @@ def _hermitian_noise(grid: Grid, components: int, rng: np.random.Generator) -> n
     # drawn and symmetrised on the full layout, so each seed keeps its field
     shape = (components,) + (grid.modes_per_axis,) * grid.dim
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return 0.5 * (a + grid.conj_reversed(a))[..., : grid.shape[-1]]
+    return grid.fold(0.5 * (a + grid.conj_reversed(a)))
 
 
 def _shaped_noise(
@@ -219,7 +196,7 @@ def _shaped_noise(
 ) -> np.ndarray:
     rng = np.random.default_rng(seed)
     a = _hermitian_noise(grid, components, rng)
-    return a * (grid.k_power(-decay) * grid.band_mask)[None]
+    return a * grid.k_power(-decay)[None]
 
 
 def _normalized(grid: Grid, coeffs: np.ndarray, amplitude: float) -> np.ndarray:

@@ -1,17 +1,18 @@
 """Collocation/spectral grids on the periodic N-torus.
 
-A :class:`Grid` fixes the torus dimension, the number of retained modes per
-axis, the physical side length, and the band limit used for dealiasing.  All
-transform plumbing (padded sampling, analysis, quadrature) lives here so that
-field operations elsewhere can stay purely algebraic.
+A :class:`Grid` fixes the torus dimension, the FFT size per axis, the
+physical side length, and the band limit used for dealiasing.  All transform
+plumbing (padded sampling, analysis, quadrature) lives here so that field
+operations elsewhere can stay purely algebraic.
 
 Coefficient convention: a real field is represented by complex coefficients
 ``c[k]`` with ``f(x) = sum_k c[k] exp(i kappa . x)`` where
-``kappa = 2*pi*k/L``.  Only the ``rfftn`` half of the lattice is stored, in
-shape ``(M,)*(dim-1) + (M//2 + 1,)`` (FFT order, then k_last = 0..M/2); the
-modes with k_last < 0 are conj(c[-k]).  A lattice sum of |c|^2 is therefore
-:meth:`Grid.parseval_sum`, with :attr:`Grid.parseval_weight` 2 for
-0 < k_last < M/2 and 1 on the self-conjugate planes k_last = 0 and M/2.
+``kappa = 2*pi*k/L``.  Only the band |k_a| <= K is stored, and only its
+k_last >= 0 half, in shape ``(2K+1,)*(dim-1) + (K+1,)`` (FFT order 0..K,
+-K..-1, then k_last = 0..K); the modes with k_last < 0 are conj(c[-k]).  So
+the layout is the dealiasing truncation: :meth:`Grid.analyze` keeps the band.
+A lattice sum of |c|^2 is :meth:`Grid.parseval_sum`, with
+:attr:`Grid.parseval_weight` 2 for k_last > 0 and 1 on the plane k_last = 0.
 """
 
 from __future__ import annotations
@@ -41,16 +42,16 @@ class Grid:
     """Periodic torus grid with a fixed dealiasing band.
 
     Use :func:`make_grid` to construct validated instances; the raw
-    constructor skips the band-limit check on purpose so that debug grids
-    (e.g. deliberately aliased ones for negative controls) remain
-    expressible.
+    constructor accepts any band that fits on the M points of an axis
+    (2K + 1 <= M), so debug grids (e.g. deliberately aliased ones for
+    negative controls) remain expressible.
 
     Attributes
     ----------
     dim : int
         Torus dimension.
     modes_per_axis : int
-        The FFT size M of every axis (the last stores M//2 + 1 modes).
+        The FFT size M of every axis, and of the snapshot files' full layout.
     side_length : float
         Physical period L of every axis.
     band_limit : int
@@ -78,13 +79,17 @@ class Grid:
             object.__setattr__(self, "band_limit", self.modes_per_axis // 3)
         if self.band_limit < 1:
             raise ValueError(f"band_limit must be >= 1, got {self.band_limit}")
+        if 2 * self.band_limit + 1 > self.modes_per_axis:
+            raise ValueError(f"band_limit {self.band_limit} does not fit on M = "
+                             f"{self.modes_per_axis} points (needs 2K + 1 <= M)")
 
     # -- derived geometry -------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """The stored half layout, one array axis per torus axis."""
-        return (self.modes_per_axis,) * (self.dim - 1) + (self.modes_per_axis // 2 + 1,)
+        """The stored band, one array axis per torus axis."""
+        n = self.band_limit
+        return (2 * n + 1,) * (self.dim - 1) + (n + 1,)
 
     @property
     def volume(self) -> float:
@@ -111,9 +116,9 @@ class Grid:
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Integer wavenumbers along one full axis, FFT layout."""
-        m = self.modes_per_axis
-        return np.fft.fftfreq(m, 1.0 / m).astype(int)
+        """Integer wavenumbers along one leading axis of the band, FFT order."""
+        n = self.band_limit
+        return np.r_[0 : n + 1, -n:0]
 
     def _axis_wavenumbers(self, axis: int) -> np.ndarray:
         k = self.wavenumbers if axis < self.dim - 1 else np.arange(self.shape[-1])
@@ -139,23 +144,17 @@ class Grid:
         return np.where(self.k_squared > 0, self.k_squared_safe ** (s / 2.0), 0.0)
 
     @cached_property
-    def band_mask(self) -> np.ndarray:
-        mask = np.ones(self.shape, dtype=bool)
-        for a in range(self.dim):
-            mask &= np.abs(self._axis_wavenumbers(a)) <= self.band_limit
-        return mask
-
-    @cached_property
     def parseval_weight(self) -> np.ndarray:
         """How often a stored mode counts in a full-lattice sum, by k_last: 2 for
-        0 < k_last < M/2, standing also for -k, 1 on the planes k_last = 0, M/2."""
+        k_last > 0, standing also for -k, 1 on the plane k_last = 0 (K < M/2,
+        so the band never reaches the Nyquist plane)."""
         w = np.full(self.shape[-1], 2.0)
-        w[0] = w[-1] = 1.0
+        w[0] = 1.0
         return w
 
     def parseval_sum(self, density: np.ndarray) -> float:
-        """vol * the full-lattice sum of a per-mode density given on the half
-        layout, over every axis: with density |c|^2 it is ||f||_2^2."""
+        """vol * the full-lattice sum of a per-mode density given on the stored
+        band, over every axis: with density |c|^2 it is ||f||_2^2."""
         return self.volume * float(np.sum(density * self.parseval_weight))
 
     @cached_property
@@ -171,13 +170,20 @@ class Grid:
         sel = (slice(None),) * (coeffs.ndim - self.dim) + np.ix_(*[idx] * self.dim)
         return np.conj(coeffs[sel])
 
+    def fold(self, full: np.ndarray) -> np.ndarray:
+        """The stored band of full ``(M,)*dim`` coefficients, the inverse of
+        :meth:`unfold` on a real band-limited field."""
+        m = self.modes_per_axis
+        return self.gather(full[..., : m // 2 + 1], m)
+
     def unfold(self, coeffs: np.ndarray) -> np.ndarray:
-        """The full ``(M,)*dim`` layout of half-layout coefficients, each
-        k_last < 0 mode filled in as conj(c(-k))."""
-        h = self.shape[-1]
-        full = np.zeros(coeffs.shape[:-1] + (self.modes_per_axis,), dtype=complex)
-        full[..., :h] = coeffs
-        full[..., h:] = self.conj_reversed(full)[..., h:]
+        """The full ``(M,)*dim`` layout of band coefficients, each k_last < 0
+        mode filled in as conj(c(-k)) and every mode outside the band zero."""
+        m = self.modes_per_axis
+        lead = coeffs.shape[: coeffs.ndim - self.dim]
+        full = np.zeros(lead + (m,) * self.dim, dtype=complex)
+        full[self._embedding(len(lead), m)] = coeffs
+        full[..., m // 2 + 1 :] = self.conj_reversed(full)[..., m // 2 + 1 :]
         return full
 
     def coordinates(self, m_eval: int | None = None) -> tuple[np.ndarray, ...]:
@@ -195,12 +201,12 @@ class Grid:
         return tuple(range(arr.ndim - self.dim, arr.ndim))
 
     def _embedding(self, lead: int, m_eval: int) -> tuple:
-        # index of every stored mode in the m_eval half layout
+        # index of every stored mode in the m_eval rfftn half layout
         idx = [self.wavenumbers % m_eval] * (self.dim - 1) + [np.arange(self.shape[-1])]
         return (slice(None),) * lead + np.ix_(*idx)
 
     def scatter(self, coeffs: np.ndarray, m_eval: int) -> np.ndarray:
-        """Embed M-layout coefficients into an m_eval-layout spectral array."""
+        """Embed band coefficients into the m_eval ``rfftn`` half layout."""
         if m_eval < self.modes_per_axis:
             raise ValueError("evaluation grid must be at least as fine as the grid")
         lead = coeffs.shape[: coeffs.ndim - self.dim]
@@ -209,37 +215,36 @@ class Grid:
         return out
 
     def gather(self, coeffs_fine: np.ndarray, m_eval: int) -> np.ndarray:
-        """Extract this grid's M-layout coefficients from a finer layout."""
-        return coeffs_fine[self._embedding(coeffs_fine.ndim - self.dim, m_eval)]
+        """Extract this grid's band from an m_eval ``rfftn`` half layout, in C
+        order, so a sum over the band never depends on where it came from."""
+        sel = self._embedding(coeffs_fine.ndim - self.dim, m_eval)
+        return np.ascontiguousarray(coeffs_fine[sel])
 
     def sample(self, coeffs: np.ndarray, m_eval: int | None = None) -> np.ndarray:
         """Evaluate coefficients on the (padded) collocation grid.
 
         Returns real values of shape ``lead + (m_eval,)*dim``, from one
-        batched ``irfftn``.
+        batched ``irfftn`` of the band embedded in the m_eval layout.
         """
         m = m_eval or self.eval_modes
-        spread = self.scatter(coeffs, m) if m != self.modes_per_axis else coeffs
+        spread = self.scatter(coeffs, m)
         return sfft.irfftn(
             spread, s=(m,) * self.dim, axes=self._spatial_axes(spread),
             norm="forward", workers=_FFT_WORKERS,
         )
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Transform real collocation values back to M-layout coefficients,
-        with one batched ``rfftn``.
+        """Transform real collocation values back to band coefficients, with
+        one batched ``rfftn`` whose band is kept and the rest dropped.
 
-        The input may live on any grid at least as fine as M; content beyond
-        the stored layout aliases, so callers are responsible for having
-        band-limited data (or for applying the band mask afterwards).
+        The input may live on any grid at least as fine as M; content that
+        aliases onto the band on those points stays in it, so callers sample
+        on a size that keeps their products exact on the band.
         """
-        m_eval = values.shape[-1]
         spec = sfft.rfftn(
             values, axes=self._spatial_axes(values), norm="forward", workers=_FFT_WORKERS
         )
-        if m_eval == self.modes_per_axis:
-            return spec
-        return self.gather(spec, m_eval)
+        return self.gather(spec, values.shape[-1])
 
     def quadrature(self, values: np.ndarray) -> float | np.ndarray:
         """Trapezoid (= rectangle, periodic) quadrature over the torus.

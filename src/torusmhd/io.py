@@ -2,21 +2,25 @@
 
 Snapshot files hold raw spectral coefficients on the full ``(M,)*dim``
 layout with a fixed 52-byte header, so a stored run can be replayed bit for
-bit; the reader checks their symmetry before it slices out the stored half.
-The series table is plain CSV with a canonical column order; floats are
-written with ``repr`` so repeated runs of the same configuration produce
-byte-identical files.
+bit; the reader checks symmetry and band limit on that full array before it
+gathers the stored band.  The series table is plain CSV with a canonical
+column order; floats are written with ``repr`` so repeated runs of the same
+configuration produce byte-identical files.  Every file is renamed into
+place once complete, so a failed write leaves no partial file behind.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .dynamics import (
     SimResult,
     accumulator_columns,
 )
-from .field import _HERMITIAN_TOL, SpectralField
+from .field import SpectralField
 from .grid import Grid, make_grid
 
 __all__ = [
@@ -63,6 +67,20 @@ class ConfigError(ValueError):
     """A configuration document is invalid; the message names the key."""
 
 
+def _write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` under a temporary name beside ``path``, then rename it there."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # -- spectral snapshots -------------------------------------------------------
 
 SNAPSHOT_MAGIC = b"SPC4"
@@ -70,6 +88,8 @@ SNAPSHOT_VERSION = 1
 # magic, version, dim, modes per axis, component count; then side length,
 # time, nu, eta; payload follows as little-endian complex128, component-major
 _HEADER = struct.Struct("<4s4I4d")
+# relative to the largest coefficient of the field checked
+_INVARIANT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,10 +115,9 @@ def write_state_snapshot(path: str | Path, state: MhdState) -> None:
         state.nu,
         state.eta,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for c in (*state.u.coeffs, *state.b.coeffs):
-            fh.write(g.unfold(c).astype("<c16", copy=False).tobytes())
+    fields = (*state.u.coeffs, *state.b.coeffs)
+    payload = (g.unfold(c).astype("<c16", copy=False).tobytes() for c in fields)
+    _write_atomic(path, itertools.chain((header,), payload))
 
 
 def _read_header(path: Path) -> tuple[int, int, int, float, float, float, float]:
@@ -142,9 +161,10 @@ def read_snapshot(path: str | Path) -> Snapshot:
 def read_state_snapshot(path: str | Path) -> MhdState:
     """Load a state snapshot, refusing any field that breaks an invariant.
 
-    u and b must each be real (Hermitian-symmetric), inside the band and
-    divergence-free, and the diffusivities finite and non-negative; every
-    such failure is a :class:`SnapshotFormatError` naming the file.
+    u and b must each be real (Hermitian-symmetric) and inside the band, both
+    checked on the full array read, and divergence-free, and the diffusivities
+    finite and non-negative; every such failure is a
+    :class:`SnapshotFormatError` naming the file.
     """
     snap = read_snapshot(path)
     g = snap.grid
@@ -153,18 +173,23 @@ def read_state_snapshot(path: str | Path) -> MhdState:
             f"{path}: state snapshots need {2 * g.dim} components, "
             f"found {snap.coeffs.shape[0]}"
         )
-    # the slice below drops every k_last < 0 mode, so the symmetry that makes
-    # them redundant is checked on the full layout first
+    fields = []
     for name, full in (("u", snap.coeffs[: g.dim]), ("b", snap.coeffs[g.dim :])):
-        herm = max(float(np.abs(c - g.conj_reversed(c)).max()) for c in full)
-        if herm > _HERMITIAN_TOL * (float(np.abs(full).max()) or 1.0):
-            raise SnapshotFormatError(f"{path}: {name} is not Hermitian-symmetric (defect {herm:.3e})")
-    half = np.ascontiguousarray(snap.coeffs[..., : g.shape[-1]])
-    u, b = SpectralField(g, half[: g.dim]), SpectralField(g, half[g.dim :])
+        # the fold keeps only the band's k_last >= 0 half, so the symmetry and the
+        # band limit that make the rest redundant are checked, a component at a time
+        band = g.fold(full)
+        tol = _INVARIANT_TOL * (np.abs(full).max() or 1.0)
+        defects = {
+            "is not Hermitian-symmetric": max(np.abs(c - g.conj_reversed(c)).max() for c in full),
+            "has content outside the band limit":
+                max(np.abs(c - g.unfold(f)).max() for c, f in zip(full, band)),
+        }
+        for what, defect in defects.items():
+            if defect > tol:
+                raise SnapshotFormatError(f"{path}: {name} {what} (defect {defect:.3e})")
+        fields.append(SpectralField(g, band))
     try:
-        u.validate()
-        b.validate()
-        return MhdState(u, b, snap.time, snap.nu, snap.eta)
+        return MhdState(*fields, snap.time, snap.nu, snap.eta)
     except ValueError as exc:
         raise SnapshotFormatError(f"{path}: {exc}") from None
 
@@ -243,7 +268,7 @@ def write_series_csv(
     lines = [",".join(cols)]
     for row in rows:
         lines.append(",".join(repr(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_atomic(path, [("\n".join(lines) + "\n").encode()])
 
 
 def read_series_csv(path: str | Path) -> dict[str, list[float]]:
@@ -490,7 +515,7 @@ def write_manifest(
         "config": config_to_dict(result.config),
         "files": files,
     }
-    (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_atomic(directory / MANIFEST_NAME, [(json.dumps(manifest, indent=2) + "\n").encode()])
     return manifest
 
 

@@ -2,8 +2,8 @@
 
 Quadratic quantities (L2 norms, the energy, the W/X/Y/Z functionals) are
 evaluated exactly in coefficient space via Parseval, as
-:meth:`~torusmhd.grid.Grid.parseval_sum` over the stored half spectrum, where
-each mode with 0 < k_last < M/2 also stands for its conjugate.  General L^p norms
+:meth:`~torusmhd.grid.Grid.parseval_sum` over the stored band, where each
+mode with k_last > 0 also stands for its conjugate.  General L^p norms
 sample the field on the fixed oversampled grid ``Grid.eval_modes`` (2M
 points per axis), accumulate |f|^2 one component at a time, and quadrature
 |f|^p there.  :func:`lp_norms` serves several magnitudes built from shared

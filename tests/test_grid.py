@@ -16,29 +16,38 @@ def test_make_grid_validation():
         make_grid(2, 16, side_length=0.0)
     g = make_grid(3, 12, side_length=3.0)
     assert g.band_limit == 4
-    assert g.shape == (12, 12, 7)  # the rfftn half layout
+    assert g.shape == (9, 9, 5)  # the band |k_a| <= 4, k_last >= 0
     assert g.volume == pytest.approx(27.0)
     assert g.eval_modes == 24
 
 
 def test_raw_grid_allows_debug_bands():
-    # the raw constructor is the escape hatch for deliberately aliased grids
+    # the raw constructor is the escape hatch for deliberately aliased grids,
+    # up to the widest band an M-point axis can store, K = M/2 - 1
     g = Grid(2, 16, 2 * np.pi, 7)
     assert g.band_limit == 7
+    assert g.shape == (15, 8)
     with pytest.raises(ValueError):
         Grid(2, 16, 2 * np.pi, -1)
+    with pytest.raises(ValueError, match="does not fit"):
+        Grid(2, 16, 2 * np.pi, 8)
 
 
 def test_wavenumbers_layout(grid2):
+    # FFT order over the band: 0..K, then -K..-1
     k = grid2.wavenumbers
+    kk = grid2.band_limit
     assert k[0] == 0 and k[1] == 1 and k[-1] == -1
-    assert k.min() == -grid2.modes_per_axis // 2
+    assert k.size == 2 * kk + 1 and k[kk] == kk and k[kk + 1] == -kk
+    assert k.min() == -kk and k.max() == kk
 
 
 def test_band_mask_counts(grid2):
-    # (2K+1)^(dim-1) (K+1) surviving modes of the half layout
-    kk = 2 * grid2.band_limit + 1
-    assert int(grid2.band_mask.sum()) == kk * (grid2.band_limit + 1)
+    # (2K+1)^(dim-1) (K+1) stored modes: the band is the layout
+    for g in (grid2, make_grid(4, 12)):
+        kk = 2 * g.band_limit + 1
+        assert g.shape == (kk,) * (g.dim - 1) + (g.band_limit + 1,)
+        assert np.prod(g.shape) == kk ** (g.dim - 1) * (g.band_limit + 1)
 
 
 def test_sample_analyze_roundtrip(grid2):
@@ -60,10 +69,15 @@ def test_sample_matches_direct_sum():
 def test_scatter_gather_inverse(grid2):
     rng = np.random.default_rng(1)
     c = rng.standard_normal((3,) + grid2.shape)
-    fine = grid2.scatter(c.astype(complex), 48)
-    assert fine.shape == (3, 48, 25)
-    back = grid2.gather(fine, 48)
-    assert np.array_equal(back, c.astype(complex))
+    for m in (grid2.modes_per_axis, 48):
+        fine = grid2.scatter(c.astype(complex), m)
+        assert fine.shape == (3, m, m // 2 + 1)
+        # the band sits at k mod m, and nothing else is filled
+        k = grid2.wavenumbers
+        assert np.array_equal(fine[:, k % m][..., : grid2.band_limit + 1], c)
+        assert np.count_nonzero(fine) == np.count_nonzero(c)
+        back = grid2.gather(fine, m)
+        assert np.array_equal(back, c.astype(complex))
     with pytest.raises(ValueError):
         grid2.scatter(c.astype(complex), grid2.modes_per_axis - 2)
 
@@ -119,11 +133,11 @@ def test_alias_free_modes_has_no_cliff():
 
 
 def _banded(g, seed):
-    # symmetrised on the full (M,)*dim layout, then cut to the stored half
+    # symmetrised on the full (M,)*dim layout, then folded to the stored band
     rng = np.random.default_rng(seed)
     shape = (1,) + (g.modes_per_axis,) * g.dim
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return 0.5 * (c + g.conj_reversed(c))[..., : g.shape[-1]] * g.band_mask
+    return g.fold(0.5 * (c + g.conj_reversed(c)))
 
 
 @pytest.mark.parametrize("dim,m", [(2, 12), (2, 16), (3, 12)])
@@ -135,10 +149,10 @@ def test_alias_free_modes_are_exact(dim, m):
     for band in (k, 2 * k):
         size = g.alias_free_modes(2, band)
         fine = Grid(dim, size, g.side_length, band)
-        got = fine.analyze(g.sample(a, size) * g.sample(b, size)) * fine.band_mask
+        got = fine.analyze(g.sample(a, size) * g.sample(b, size))
         ref = Grid(dim, ref_m, g.side_length, band)
-        want = ref.analyze(g.sample(a, ref_m) * g.sample(b, ref_m)) * ref.band_mask
-        assert np.abs(fine.scatter(got, ref_m) - want).max() < 1e-13 * np.abs(want).max()
+        want = ref.analyze(g.sample(a, ref_m) * g.sample(b, ref_m))
+        assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
     size = g.alias_free_modes(4, 0)
     quartic = g.quadrature((g.sample(a, size) * g.sample(b, size)) ** 2)
     exact = g.quadrature((g.sample(a, ref_m) * g.sample(b, ref_m)) ** 2)
@@ -150,7 +164,7 @@ def test_alias_free_modes_are_exact(dim, m):
     assert cubic == pytest.approx(exact, rel=1e-13)
     if 3 * k >= m:
         # the base grid itself aliases the stress back into the band
-        prod = g.analyze(g.sample(a, m) * g.sample(b, m)) * g.band_mask
+        prod = g.analyze(g.sample(a, m) * g.sample(b, m))
         size = g.alias_free_modes(2, k)
-        exact_prod = g.analyze(g.sample(a, size) * g.sample(b, size)) * g.band_mask
+        exact_prod = g.analyze(g.sample(a, size) * g.sample(b, size))
         assert np.abs(prod - exact_prod).max() > 1e-6

@@ -1,8 +1,11 @@
-"""The stored rfftn half spectrum against the full complex layout it stands for.
+"""The stored band, the k_last >= 0 half of |k_a| <= K, against the full
+complex layout it stands for.
 
 Every reference here is written out on the full ``(M,)*dim`` layout with
 numpy's complex FFTs and plain sums, independently of the package's
-transforms, mirror and Parseval weight.
+transforms, mirror and Parseval weight.  Besides the standard grids, each
+check runs on raw grids of the widest band an M-point axis stores,
+K = M/2 - 1, the band of the aliased negative control.
 """
 
 import math
@@ -17,11 +20,18 @@ from torusmhd.dynamics import (
     dissipation_rate,
 )
 from torusmhd.field import SpectralField, synth_random_divfree
-from torusmhd.grid import make_grid
+from torusmhd.grid import Grid, make_grid
 from torusmhd.norms import energy, l2_norm, wxyz
 from torusmhd.verify import check_commutator
 
-GRIDS = [(2, 16), (3, 12), (4, 8)]
+def _grids():
+    for dim, m in ((2, 16), (3, 12), (4, 8)):
+        yield pytest.param(make_grid(dim, m), id=f"{dim}-{m}")
+    for dim, m in ((2, 16), (4, 8)):
+        yield pytest.param(Grid(dim, m, 2 * np.pi, m // 2 - 1), id=f"{dim}-{m}-wide")
+
+
+GRIDS = list(_grids())
 
 
 def kvec(g, m=None):
@@ -88,19 +98,25 @@ def full_sample(g, full, m):
     return np.fft.ifftn(out, axes=tuple(range(1, g.dim + 1))).real * m**g.dim
 
 
-def half(g, full):
-    return full[..., : g.modes_per_axis // 2 + 1]
+def band(g, full):
+    """The stored band of full-layout coefficients, picked by plain slicing."""
+    n = g.band_limit
+    for axis in range(full.ndim - g.dim, full.ndim - 1):
+        full = np.concatenate(
+            (full.take(range(n + 1), axis), full.take(range(-n, 0), axis)), axis=axis
+        )
+    return full[..., : n + 1]
 
 
 def rel(a, b):
     return abs(a - b) / abs(b)
 
 
-@pytest.mark.parametrize("dim,m", GRIDS)
-def test_sample_and_analyze_match_the_full_complex_path(dim, m):
-    g = make_grid(dim, m)
-    full = full_banded(g, seed=dim, components=2)
-    c = half(g, full)
+@pytest.mark.parametrize("g", GRIDS)
+def test_sample_and_analyze_match_the_full_complex_path(g):
+    m = g.modes_per_axis
+    full = full_banded(g, seed=g.dim, components=2)
+    c = band(g, full)
     assert c.shape == (2,) + g.shape
     for m_eval in (m, g.alias_free_modes(2, g.band_limit), g.eval_modes):
         want = full_sample(g, full, m_eval)
@@ -111,41 +127,37 @@ def test_sample_and_analyze_match_the_full_complex_path(dim, m):
         assert np.abs(back - c).max() <= 1e-14 * np.abs(c).max()
 
 
-@pytest.mark.parametrize("dim,m", GRIDS)
-def test_unfold_restores_the_full_layout(dim, m):
-    g = make_grid(dim, m)
+@pytest.mark.parametrize("g", GRIDS)
+def test_unfold_restores_the_full_layout(g):
+    dim = g.dim
     full = full_banded(g, seed=10 + dim, components=3)
-    assert np.array_equal(g.unfold(half(g, full)), full)
+    assert np.array_equal(g.unfold(band(g, full)), full)
+    assert np.array_equal(g.fold(full), band(g, full))
     assert np.array_equal(g.conj_reversed(full), reversed_conj(full, dim))
 
 
-@pytest.mark.parametrize("dim,m", GRIDS)
-def test_parseval_weight_counts_every_mode_once(dim, m):
-    # Hermitian data on the whole lattice, the Nyquist planes included
-    g = make_grid(dim, m)
-    rng = np.random.default_rng(dim)
-    shape = (2,) + (m,) * dim
-    full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    full = 0.5 * (full + reversed_conj(full, dim))
+@pytest.mark.parametrize("g", GRIDS)
+def test_parseval_weight_counts_every_mode_once(g):
+    # Hermitian band data on the whole lattice; the wide grids reach the
+    # planes |k_last| = M/2 - 1 next to the Nyquist plane, which no band holds
+    full = full_banded(g, seed=g.dim, components=2)
     want = g.volume * float(np.sum(np.abs(full) ** 2))
-    assert rel(g.parseval_sum(np.abs(half(g, full)) ** 2), want) <= 1e-14
+    assert rel(g.parseval_sum(np.abs(band(g, full)) ** 2), want) <= 1e-14
 
 
-@pytest.mark.parametrize("dim,m", GRIDS)
-def test_seeded_draw_is_the_full_layout_draw(dim, m):
+@pytest.mark.parametrize("g", GRIDS)
+def test_seeded_draw_is_the_full_layout_draw(g):
     # each seed keeps the field it gave when fields were drawn and stored
     # on the full layout
-    g = make_grid(dim, m)
     a = full_divfree(g, 5, 2.5, 0.8)
-    got = synth_random_divfree(g, dim, 5, decay=2.5, amplitude=0.8).coeffs
-    assert np.abs(got - half(g, a)).max() <= 1e-14 * np.abs(a).max()
+    got = synth_random_divfree(g, g.dim, 5, decay=2.5, amplitude=0.8).coeffs
+    assert np.abs(got - band(g, a)).max() <= 1e-14 * np.abs(a).max()
 
 
-@pytest.mark.parametrize("dim,m", GRIDS)
-def test_parseval_sums_match_the_full_layout(dim, m):
-    g = make_grid(dim, m)
+@pytest.mark.parametrize("g", GRIDS)
+def test_parseval_sums_match_the_full_layout(g):
     fu, fb = full_divfree(g, 7, 1.0, 1.0), full_divfree(g, 8, 1.0, 0.6)
-    u, b = SpectralField(g, half(g, fu)), SpectralField(g, half(g, fb))
+    u, b = SpectralField(g, band(g, fu)), SpectralField(g, band(g, fb))
     vol = g.volume
     kap = kappa(g)
     k2 = sum(k**2 for k in kap)
@@ -161,7 +173,7 @@ def test_parseval_sums_match_the_full_layout(dim, m):
     for s in (0.5, 1.5, 2.5):
         density = g.k_power(s) ** 2 * np.abs(u.coeffs) ** 2
         assert rel(g.parseval_sum(density), full_sum(symbol(k2, s) ** 2, fu)) <= 1e-14
-    if dim == 4:
+    if g.dim == 4:
         kp = kap[0] ** 2 + kap[2] ** 2
         vals = wxyz(u, b, plane=(0, 2))
         for got, weight in zip(vals, (kp, k2, kp * k2, k2 * k2)):
@@ -182,7 +194,7 @@ def test_commutator_sums_match_the_full_layout():
     g = make_grid(2, 16)
     ff, fh = full_banded(g, 4), full_banded(g, 5)
     s = 1.5
-    rep = check_commutator(SpectralField(g, half(g, ff)), SpectralField(g, half(g, fh)), s)
+    rep = check_commutator(SpectralField(g, band(g, ff)), SpectralField(g, band(g, fh)), s)
     k2b = 2 * g.band_limit
     m = g.alias_free_modes(2, k2b)
     fs, hs = full_sample(g, ff, m)[0], full_sample(g, fh, m)[0]

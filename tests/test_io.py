@@ -8,7 +8,7 @@ import pytest
 from torusmhd.criteria import CriterionSpec, Theorem
 from torusmhd.dynamics import InitialCondition, MhdState, SimConfig, simulate, step_ifrk4
 from torusmhd.field import synth_random_divfree, synth_random_field
-from torusmhd.grid import make_grid
+from torusmhd.grid import Grid, make_grid
 from torusmhd import io as tio
 
 from conftest import save_config, write_raw_snapshot
@@ -191,7 +191,40 @@ def test_state_snapshot_refuses_broken_fields(tmp_path):
     fine[1, 5, 0, 0] = fine[1, -5, 0, 0] = 0.0
     fine[1, 1, 0, 0], fine[1, -1, 0, 0] = 0.2j, -0.2j
     write_raw_snapshot(path, g, fine, nu=0.1, eta=0.1)
-    assert np.array_equal(tio.read_state_snapshot(path).u.coeffs, fine[:3, ..., : g.shape[-1]])
+    assert np.array_equal(g.unfold(tio.read_state_snapshot(path).u.coeffs), fine[:3])
+
+
+def test_failed_snapshot_write_leaves_no_file(grid2, tmp_path, monkeypatch):
+    # a write that dies mid-payload, here on the third component, leaves no
+    # truncated snapshot for a listing to find, and no temporary file
+    st = small_state(grid2)
+    path = tmp_path / tio.state_filename(4)
+    unfold = Grid.unfold
+    calls = []
+
+    def failing(self, coeffs):
+        calls.append(coeffs)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return unfold(self, coeffs)
+
+    monkeypatch.setattr(Grid, "unfold", failing)
+    with pytest.raises(OSError, match="disk full"):
+        tio.write_state_snapshot(path, st)
+    assert len(calls) == 3
+    assert list(tmp_path.iterdir()) == []
+    assert tio.list_state_snapshots(tmp_path) == []
+
+    # over an existing snapshot, the failed write leaves the old file whole
+    monkeypatch.setattr(Grid, "unfold", unfold)
+    tio.write_state_snapshot(path, st)
+    good = path.read_bytes()
+    monkeypatch.setattr(Grid, "unfold", failing)
+    calls.clear()
+    with pytest.raises(OSError, match="disk full"):
+        tio.write_state_snapshot(path, MhdState(st.u, st.b, 0.5, st.nu, st.eta))
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_bytes() == good
 
 
 def test_state_snapshot_refuses_nan_diffusivity(grid2, tmp_path):
