@@ -92,9 +92,7 @@ def cmd_simulate(args) -> int:
         tio.write_state_snapshot(out / tio.state_filename(step), state)
 
     result = simulate(config, snapshot_sink=sink)
-    tio.write_series_csv(
-        out / tio.SERIES_NAME, config, result.series, result.ledger_history
-    )
+    tio.write_series_csv(out / tio.SERIES_NAME, result.series)
     tio.write_manifest(out, result, started=started, finished=time.time())
     print(f"status: {result.status}")
     print(f"records: {len(result.series)}")
@@ -149,7 +147,7 @@ def cmd_monitor(args) -> int:
         recorder.record(t, state, ledger)
 
     replay_csv = indir / "replay.csv"
-    tio.write_series_csv(replay_csv, spec_cfg, recorder.series, recorder.history)
+    tio.write_series_csv(replay_csv, recorder.series)
     print(f"replayed {len(snaps)} snapshots from {indir}")
     print(f"defect: {ledger.defect!r}")
     for spec in spec_cfg.criteria:

@@ -194,9 +194,10 @@ class CriterionSpec:
         return f"acc_{self.label}_{comp}"
 
     def accumulated(self, series: NormSeries) -> dict[str, float]:
-        """This criterion's accumulator values in ``series``, by accumulator key."""
-        keys = [self.accumulator_key(c) for c, _ in self.pairs]
-        return {k: series.accumulators[k] for k in keys}
+        """This criterion's accumulator values in the last row of ``series``,
+        by accumulator key."""
+        last = series.last()
+        return {k: last[k] for k in (self.accumulator_key(c) for c, _ in self.pairs)}
 
     @property
     def needs_pressure(self) -> bool:
@@ -257,15 +258,15 @@ BOOTSTRAP_TAGS = ("gradu_LN", "gradb_LN")
 def bootstrap_trigger(series: NormSeries) -> float:
     """Integral of ||grad u||_{L^N}^2 + ||grad b||_{L^N}^2 accumulated so far.
 
-    Reads the accumulators advanced during recording; both gradient tags
-    must be present in the series.
+    Reads both bootstrap accumulators from the last row of the series.
     """
-    for tag in BOOTSTRAP_TAGS:
-        if tag not in series.records:
-            raise ValueError(f"series is missing bootstrap tag '{tag}'")
+    last = series.last()
     total = 0.0
     for tag in BOOTSTRAP_TAGS:
-        total += series.accumulators.get(f"acc_bootstrap_{tag}", 0.0)
+        key = f"acc_bootstrap_{tag}"
+        if key not in last:
+            raise ValueError(f"series is missing bootstrap column '{key}'")
+        total += last[key]
     return total
 
 

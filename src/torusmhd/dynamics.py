@@ -475,16 +475,16 @@ def taylor_green_state(
     """Planar vortex array in the first two axes; exactly pressure-balanced
     so the nonlinearity is a pure gradient and the flow decays by diffusion."""
     # u1 = cos(k x1) sin(k x2), u2 = -sin(k x1) cos(k x2) with k = 2*pi/L: the
-    # modes (s1, s2) = (+-1, +-1), written on the full layout and folded to the band
-    m = grid.modes_per_axis
-    coeffs = np.zeros((grid.dim,) + (m,) * grid.dim, dtype=complex)
+    # modes (s1, s2) = (+-1, +-1), written on the band; in dim 2, s2 is k_last,
+    # so the s2 = -1 modes are the conjugates of stored ones
+    coeffs = np.zeros((grid.dim,) + grid.shape, dtype=complex)
     q = amplitude / 4.0
     for s1 in (1, -1):
-        for s2 in (1, -1):
-            at = (s1 % m, s2 % m) + (0,) * (grid.dim - 2)
+        for s2 in (1, -1) if grid.dim > 2 else (1,):
+            at = (s1, s2) + (0,) * (grid.dim - 2)
             coeffs[(0,) + at] = -1j * q * s2
             coeffs[(1,) + at] = 1j * q * s1
-    u = SpectralField(grid, grid.fold(coeffs))
+    u = SpectralField(grid, coeffs)
     return MhdState(u, SpectralField.zeros(grid, grid.dim), 0.0, nu, eta)
 
 
@@ -577,46 +577,55 @@ def accumulator_columns(config: SimConfig) -> tuple[tuple[str, str, float], ...]
     return tuple(cols)
 
 
-class Recorder:
-    """The record, accumulate and history loop of a live run and of a replay.
+def series_columns(config: SimConfig) -> tuple[str, ...]:
+    """The columns of a run's table after the time, in series.csv order: the
+    energy, the ledger, W, X, Y, Z in dim 4, then each norm followed by the
+    accumulator it feeds.  Each column appears once; a norm that two criteria
+    share keeps its first place."""
+    cols = ["energy", "dissipation_integral", "defect"]
+    if config.dim == 4:
+        cols += ["W", "X", "Y", "Z"]
+    for key, tag, _r in accumulator_columns(config):
+        cols += [tag, key]
+    return tuple(dict.fromkeys(cols))
 
-    Owns the series, whose ``accumulators`` are the one store of every
-    criterion and bootstrap integral, the per-record history (the ledger's
-    dissipation integral and defect, then every accumulator column) and the
-    last record time.  The ledger stays with the caller, since a live run and
-    a replay advance it differently; :meth:`record` only reads it.
+
+class Recorder:
+    """The record and accumulate loop of a live run and of a replay.
+
+    Owns the series, the run's one table: each :meth:`record` appends one row
+    holding the diagnostics, the ledger's dissipation integral and defect, and
+    every criterion and bootstrap accumulator, advanced from the previous row.
+    The ledger stays with the caller, since a live run and a replay advance it
+    differently; :meth:`record` only reads it.
     """
 
     def __init__(self, config: SimConfig):
         self.config = config
         self.series = NormSeries()
-        self.columns = accumulator_columns(config)
-        keys = ("dissipation_integral", "defect") + tuple(key for key, _t, _r in self.columns)
-        self.history: dict[str, list[float]] = {key: [] for key in keys}
-        self.last_time: float | None = None
+        self.acc_columns = accumulator_columns(config)
+        self.columns = series_columns(config)
 
     def dt_to(self, t: float) -> float:
         """Width of the record interval ending at t (0 for the first record)."""
-        return t - self.last_time if self.last_time is not None else 0.0
+        times = self.series.times
+        return t - times[-1] if times else 0.0
 
     def record(
         self, t: float, state: MhdState, ledger: EnergyLedger
     ) -> SpectralField | None:
-        """Record the state at time t, advance the accumulators, return the pressure."""
+        """Record the state at time t as one row of the series, return the pressure."""
         # a run heading for divergence can overflow |u|^p here; inf is the
         # honest record for that, no warning needed
         with np.errstate(over="ignore"):
             row, pi = compute_record(state.u, state.b, self.config)
-        self.series.record(t, row)
-        # dt 0 at the first record seeds the sup accumulators with the
-        # initial value; integral accumulators start moving from the
-        # second record
-        dt_rec = self.dt_to(t)
-        self.last_time = t
-        self.history["dissipation_integral"].append(ledger.dissipation_integral)
-        self.history["defect"].append(ledger.defect)
-        for key, tag, r in self.columns:
-            self.history[key].append(accumulate(self.series, tag, r, dt_rec, key=key))
+        row.update(dissipation_integral=ledger.dissipation_integral, defect=ledger.defect)
+        # the first record (an empty last row, dt 0) seeds the sups with the
+        # initial value and the integrals at 0
+        last, dt = self.series.last(), self.dt_to(t)
+        for key, tag, r in self.acc_columns:
+            row[key] = accumulate(last.get(key), last.get(tag), row[tag], r, dt)
+        self.series.record(t, {col: row[col] for col in self.columns})
         return pi
 
 
@@ -629,7 +638,6 @@ class SimResult:
     grid: Grid
     series: NormSeries
     ledger: EnergyLedger
-    ledger_history: dict[str, list[float]]
     # criterion label -> "accumulators_finite", "accumulator_divergent" or "diverged"
     verdicts: dict[str, str]
     final_state: MhdState
@@ -680,6 +688,4 @@ def simulate(
             "diverged" if status == "diverged"
             else "accumulators_finite" if finite else "accumulator_divergent"
         )
-    return SimResult(
-        status, config, grid, recorder.series, ledger, recorder.history, verdicts, state
-    )
+    return SimResult(status, config, grid, recorder.series, ledger, verdicts, state)

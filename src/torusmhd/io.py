@@ -3,10 +3,12 @@
 Snapshot files hold raw spectral coefficients on the full ``(M,)*dim``
 layout with a fixed 52-byte header, so a stored run can be replayed bit for
 bit; the reader checks symmetry and band limit on that full array before it
-gathers the stored band.  The series table is plain CSV with a canonical
-column order; floats are written with ``repr`` so repeated runs of the same
-configuration produce byte-identical files.  Every file is renamed into
-place once complete, so a failed write leaves no partial file behind.
+gathers the stored band.  The series file is the run's table
+(:class:`~torusmhd.norms.NormSeries`) as plain CSV, its columns in the
+table's order, each named once; floats are written with ``repr`` so repeated
+runs of the same configuration produce byte-identical files that read back
+bit for bit.  Every file is renamed into place once complete, so a failed
+write leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -25,15 +27,10 @@ from typing import Iterable
 import numpy as np
 
 from .criteria import CriterionSpec, Theorem
-from .dynamics import (
-    InitialCondition,
-    MhdState,
-    SimConfig,
-    SimResult,
-    accumulator_columns,
-)
+from .dynamics import InitialCondition, MhdState, SimConfig, SimResult
 from .field import SpectralField
 from .grid import Grid, make_grid
+from .norms import NormSeries
 
 __all__ = [
     "SnapshotFormatError",
@@ -44,8 +41,6 @@ __all__ = [
     "read_state_snapshot",
     "state_filename",
     "list_state_snapshots",
-    "series_columns",
-    "series_table",
     "write_series_csv",
     "read_series_csv",
     "config_to_dict",
@@ -226,57 +221,24 @@ SERIES_NAME = "series.csv"
 MANIFEST_NAME = "manifest.json"
 
 
-def series_columns(config: SimConfig) -> list[str]:
-    """Canonical column order of the series table for a configuration."""
-    cols = ["time", "energy", "dissipation_integral", "defect"]
-    if config.dim == 4:
-        cols += ["W", "X", "Y", "Z"]
-    # each norm column, then the accumulator fed by it
-    for key, tag, _r in accumulator_columns(config):
-        cols += [tag, key]
-    return cols
-
-
-def series_table(
-    config: SimConfig, series, history: dict[str, list[float]]
-) -> tuple[list[str], list[list[float]]]:
-    """Assemble the canonical table from a run's (or replay's) parts."""
-    cols = series_columns(config)
-    rows = []
-    for i in range(len(series)):
-        row = []
-        for c in cols:
-            if c == "time":
-                row.append(series.times[i])
-            elif c in series.records:
-                row.append(series.records[c][i])
-            elif c in history:
-                row.append(history[c][i])
-            else:
-                raise KeyError(f"series table column '{c}' missing from the run")
-        rows.append(row)
-    return cols, rows
-
-
-def write_series_csv(
-    path: str | Path,
-    config: SimConfig,
-    series,
-    history: dict[str, list[float]],
-) -> None:
-    cols, rows = series_table(config, series, history)
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(repr(v) for v in row))
+def write_series_csv(path: str | Path, series: NormSeries) -> None:
+    """Write the run's table: a header of its columns, then one line per row."""
+    lines = [",".join(series.columns)]
+    lines += (",".join(map(repr, row)) for row in zip(series.times, *series.records.values()))
     _write_atomic(path, [("\n".join(lines) + "\n").encode()])
 
 
 def read_series_csv(path: str | Path) -> dict[str, list[float]]:
+    """The table of a series file by column, refusing a column named twice."""
     text = Path(path).read_text().strip().splitlines()
     if not text:
         raise ValueError(f"{path}: empty series file")
     cols = text[0].split(",")
-    out: dict[str, list[float]] = {c: [] for c in cols}
+    out: dict[str, list[float]] = {}
+    for c in cols:
+        if c in out:
+            raise ValueError(f"{path}: column '{c}' appears twice in the header")
+        out[c] = []
     for line in text[1:]:
         parts = line.split(",")
         if len(parts) != len(cols):
@@ -511,7 +473,7 @@ def write_manifest(
         "started_unix": started,
         "finished_unix": finished,
         "records": len(result.series),
-        "columns": series_columns(result.config),
+        "columns": result.series.columns,
         "config": config_to_dict(result.config),
         "files": files,
     }

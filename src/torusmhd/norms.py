@@ -1,4 +1,4 @@
-"""Norms, anisotropic functionals, time series and the energy ledger.
+"""Norms, anisotropic functionals, the run's series table and the energy ledger.
 
 Quadratic quantities (L2 norms, the energy, the W/X/Y/Z functionals) are
 evaluated exactly in coefficient space via Parseval, as
@@ -16,6 +16,10 @@ It is not sized per exponent by ``Grid.alias_free_modes(p, 0)``: rounding
 p = 3 up to degree 4 moves ``gradu_LN`` by up to 9.2e-9 relative, past the
 1e-9 that ``perfbench/reference.json`` (computed on 2M) is checked to, and
 degree 8 at M = 32 would need 84 > 64 points.
+
+A run keeps its numbers in one table, :class:`NormSeries`: one row per
+record holding the diagnostics, the ledger and each accumulator, which
+:func:`accumulate` advances from the previous row's values.
 """
 
 from __future__ import annotations
@@ -137,20 +141,28 @@ def wxyz(
 
 
 class NormSeries:
-    """Aligned time series of scalar diagnostics plus running accumulators.
+    """The run's table: one row per record, the only store of its values.
 
-    Every record must supply the same tag set; times must be strictly
-    increasing.  Accumulators are advanced explicitly via :func:`accumulate`
-    so that a replay from stored snapshots reproduces them bit for bit.
+    A row holds the time and one value per column: the diagnostics, the
+    ledger's dissipation integral and defect, and every accumulator, in the
+    order of the first row (the series.csv order).  Every later row must
+    supply the same columns; times must be strictly increasing.
     """
 
     def __init__(self) -> None:
         self.times: list[float] = []
         self.records: dict[str, list[float]] = {}
-        self.accumulators: dict[str, float] = {}
 
     def __len__(self) -> int:
         return len(self.times)
+
+    @property
+    def columns(self) -> list[str]:
+        return ["time", *self.records]
+
+    def last(self) -> dict[str, float]:
+        """The latest row by column, time left out; empty before the first record."""
+        return {col: vals[-1] for col, vals in self.records.items()}
 
     def record(self, t: float, values: Mapping[str, float]) -> None:
         if self.times and t <= self.times[-1]:
@@ -168,33 +180,28 @@ class NormSeries:
 
 
 def accumulate(
-    series: NormSeries, tag: str, r: float, dt: float, key: str | None = None
+    acc: float | None, prev: float | None, value: float, r: float, dt: float
 ) -> float:
-    """Advance the running integral of value^r (or sup for r = inf) for a tag.
+    """The accumulator after a record of ``value``: the running sup for r = inf,
+    else the integral of value^r advanced by the trapezoid over the interval
+    dt from the previous record's ``prev``.
 
-    Call once after each new record; the finite-r update is the trapezoid
-    rule on the last interval, and a finite record whose r-th power passes
-    the float range counts as inf.  Returns the accumulator value.
+    The first record (``acc`` None) seeds an integral at 0 and a sup at the
+    value; a zero-width interval adds nothing, and a finite record whose r-th
+    power passes the float range makes the integral inf.
     """
-    if tag not in series.records:
-        raise KeyError(f"series has no tag '{tag}'")
-    if key is None:
-        key = f"int[{tag}]^r{r}"
-    hist = series.records[tag]
+    if not (r > 0):
+        raise ValueError(f"exponent r must be positive or inf, got {r}")
     if r == math.inf:
-        cur = series.accumulators.get(key, -math.inf)
-        series.accumulators[key] = max(cur, hist[-1])
-    else:
-        if not (r > 0):
-            raise ValueError(f"exponent r must be positive or inf, got {r}")
-        cur = series.accumulators.get(key, 0.0)
-        if len(hist) >= 2 and dt != 0:
-            try:
-                cur += 0.5 * dt * (hist[-2] ** r + hist[-1] ** r)
-            except OverflowError:  # a finite record whose r-th power passes the float range
-                cur = math.inf
-        series.accumulators[key] = cur
-    return series.accumulators[key]
+        return value if acc is None else max(acc, value)
+    if acc is None:
+        return 0.0
+    if dt == 0:
+        return acc
+    try:
+        return acc + 0.5 * dt * (prev**r + value**r)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass

@@ -195,6 +195,49 @@ def test_monitor_replays_stored_run(tmp_path, capsys):
         assert replay_table[col] == run_table[col], col
 
 
+def test_shared_norm_columns_read_back_once(tmp_path, monkeypatch, capsys):
+    # T1_1 and T1_3 smallness both monitor L6_u3 and L6_u4: each file names
+    # every column once and reads back as the in-memory table, bit for bit
+    cfg_path = tmp_path / "run.json"
+    save_config(
+        cfg_path,
+        SimConfig(
+            dim=4,
+            modes_per_axis=8,
+            nu=0.4,
+            eta=0.3,
+            dt=1e-3,
+            t_end=0.002,
+            snapshot_every=1,
+            initial=InitialCondition(preset="random_divfree", seed=9, b_amplitude=0.5),
+            criteria=(
+                CriterionSpec(Theorem.T1_1, smallness=True),
+                CriterionSpec(Theorem.T1_3, smallness=True),
+            ),
+            monitor_bootstrap=True,
+        ),
+    )
+    tables = {}
+    write = tio.write_series_csv
+
+    def keep(path, series):
+        tables[Path(path).name] = series
+        write(path, series)
+
+    monkeypatch.setattr(tio, "write_series_csv", keep)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert cli.main(["monitor", "--in", str(out), "--spec", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert sorted(tables) == ["replay.csv", tio.SERIES_NAME]
+    for name, series in tables.items():
+        assert len(series) == 3
+        header = (out / name).read_text().splitlines()[0].split(",")
+        assert len(header) == len(set(header))
+        assert {"L6_u3", "acc_T1_1_u3", "acc_T1_3_u3", "acc_bootstrap_gradb_LN"} <= set(header)
+        assert tio.read_series_csv(out / name) == {"time": series.times, **series.records}
+
+
 def test_monitor_rejects_duplicate_snapshot_times(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "run.json")
     out = tmp_path / "out"

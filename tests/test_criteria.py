@@ -1,11 +1,12 @@
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from torusmhd import dynamics
 from torusmhd.criteria import (
-    BOOTSTRAP_TAGS,
     CriterionSpec,
     Theorem,
     admissible,
@@ -26,11 +27,10 @@ from torusmhd.dynamics import (
     MhdState,
     Recorder,
     SimConfig,
-    accumulator_columns,
     simulate,
 )
 from torusmhd.field import SpectralField
-from torusmhd.norms import EnergyLedger, NormSeries, accumulate, lp_norm, wxyz
+from torusmhd.norms import EnergyLedger, NormSeries, lp_norm, wxyz
 
 INF = math.inf
 
@@ -241,22 +241,20 @@ def test_monitored_norms_match_batched_reference(grid_name, request):
 # ------------------------------------------------------------------ monitor
 
 
-def two_row_series(tags, rows):
-    series = NormSeries()
-    times = [0.0, 0.1]
-    for t, row in zip(times, rows):
-        series.record(t, dict(zip(tags, row)))
-    return series
-
-
-def advance(series, spec, dt):
-    """Advance a criterion's accumulators after a record, as Recorder.record does."""
-    for key, tag, r in accumulator_columns(SimConfig(criteria=(spec,))):
-        accumulate(series, tag, r, dt, key=key)
+def recorded(monkeypatch, spec, rows, bootstrap=False):
+    """The series a Recorder builds from these diagnostics rows, at t = 0, 0.1, ..."""
+    cfg = SimConfig(dim=4, modes_per_axis=8, criteria=(spec,), monitor_bootstrap=bootstrap)
+    fixed = dict(energy=1.0, W=0.0, X=0.0, Y=0.0, Z=0.0)
+    it = iter(rows)
+    monkeypatch.setattr(dynamics, "compute_record", lambda u, b, c: ({**fixed, **next(it)}, None))
+    rec = Recorder(cfg)
+    for n in range(len(rows)):
+        rec.record(0.1 * n, SimpleNamespace(u=None, b=None), EnergyLedger(1.0))
+    return rec.series
 
 
 def test_monitor_status_seeding():
-    # the first record seeds every accumulator in the series' one store:
+    # the first record seeds every accumulator column of the one row:
     # integrals at 0, sups at the first value
     spec = CriterionSpec(Theorem.CLASSICAL_U, pairs=(("u", (8, INF)),))
     cfg = SimConfig(dim=2, modes_per_axis=16, criteria=(spec,), monitor_bootstrap=True)
@@ -266,49 +264,43 @@ def test_monitor_status_seeding():
     rec.record(0.0, state, EnergyLedger(1.0))
     first = rec.series.records["L8_u"][0]
     assert first > 0.0
-    assert rec.series.accumulators == {
+    last = rec.series.last()
+    assert {k: v for k, v in last.items() if k.startswith("acc_")} == {
         "acc_CLASSICAL_U_u": first,
         "acc_bootstrap_gradu_LN": 0.0,
         "acc_bootstrap_gradb_LN": 0.0,
     }
     assert spec.accumulated(rec.series) == {"acc_CLASSICAL_U_u": first}
-    assert rec.history["acc_CLASSICAL_U_u"] == [first]
+    assert rec.series.records["acc_CLASSICAL_U_u"] == [first]
 
 
-def test_monitor_update_trapezoid_and_sup():
+def test_monitor_update_trapezoid_and_sup(monkeypatch):
     spec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
-    series = NormSeries()
-    series.record(0.0, {"L8_u3": 2.0, "L8_u4": 3.0})
-    advance(series, spec, 0.0)
+    rows = [{"L8_u3": 2.0, "L8_u4": 3.0}, {"L8_u3": 1.0, "L8_u4": 4.0}]
+    series = recorded(monkeypatch, spec, rows[:1])
     assert spec.accumulated(series) == {"acc_T1_1_u3": 0.0, "acc_T1_1_u4": 0.0}
-    series.record(0.1, {"L8_u3": 1.0, "L8_u4": 4.0})
-    advance(series, spec, 0.1)
-    acc = spec.accumulated(series)
+    acc = spec.accumulated(recorded(monkeypatch, spec, rows))
     want_u3 = 0.1 * (2.0**16 + 1.0**16) / 2
     want_u4 = 0.1 * (3.0**16 + 4.0**16) / 2
     assert acc["acc_T1_1_u3"] == pytest.approx(want_u3, rel=1e-15)
     assert acc["acc_T1_1_u4"] == pytest.approx(want_u4, rel=1e-15)
 
 
-def test_monitor_update_smallness_tracks_sup_only():
+def test_monitor_update_smallness_tracks_sup_only(monkeypatch):
     spec = CriterionSpec(Theorem.T1_1, smallness=True)
-    series = NormSeries()
-    series.record(0.0, {"L6_u3": 2.0, "L6_u4": 5.0})
-    advance(series, spec, 0.0)
-    series.record(0.1, {"L6_u3": 3.0, "L6_u4": 1.0})
-    advance(series, spec, 0.1)
+    rows = [{"L6_u3": 2.0, "L6_u4": 5.0}, {"L6_u3": 3.0, "L6_u4": 1.0}]
+    series = recorded(monkeypatch, spec, rows)
     # r = inf accumulators carry the running sup, not an integral
     assert spec.accumulated(series) == {"acc_T1_1_u3": 3.0, "acc_T1_1_u4": 5.0}
 
 
-def test_monitor_update_missing_tag_names_it():
+def test_monitor_update_missing_tag_names_it(monkeypatch):
     spec = CriterionSpec(
         Theorem.T1_3,
         pairs=(("u3", (8, 16)), ("u4", (8, 16)), ("b", (8, 16))),
     )
-    series = two_row_series(["L8_u3", "L8_u4"], [(1.0, 1.0), (1.0, 1.0)])
     with pytest.raises(KeyError, match="L8_b"):
-        advance(series, spec, 0.1)
+        recorded(monkeypatch, spec, [{"L8_u3": 1.0, "L8_u4": 1.0}])
 
 
 def test_monitor_detects_divergent_accumulator():
@@ -326,21 +318,22 @@ def test_monitor_detects_divergent_accumulator():
     )
     res = simulate(cfg)
     assert res.status == "completed"
-    assert res.series.accumulators["acc_CLASSICAL_U_u"] == INF
+    assert res.series.last()["acc_CLASSICAL_U_u"] == INF
     assert res.verdicts == {"CLASSICAL_U": "accumulator_divergent"}
 
 
-def test_bootstrap_trigger_sums_gradient_accumulators():
-    series = NormSeries()
-    series.record(0.0, {"gradu_LN": 2.0, "gradb_LN": 1.0})
-    series.record(0.5, {"gradu_LN": 4.0, "gradb_LN": 3.0})
-    for tag in BOOTSTRAP_TAGS:
-        accumulate(series, tag, 2, 0.5, key=f"acc_bootstrap_{tag}")
-    # trapezoid of the squares: (4+16)/2*0.5 + (1+9)/2*0.5
-    assert bootstrap_trigger(series) == pytest.approx(5.0 + 2.5, rel=1e-15)
+def test_bootstrap_trigger_sums_gradient_accumulators(monkeypatch):
+    spec = CriterionSpec(Theorem.CLASSICAL_U, pairs=(("u", (8, 4)),))
+    rows = [
+        {"L8_u": 1.0, "gradu_LN": 2.0, "gradb_LN": 1.0},
+        {"L8_u": 1.0, "gradu_LN": 4.0, "gradb_LN": 3.0},
+    ]
+    series = recorded(monkeypatch, spec, rows, bootstrap=True)
+    # trapezoid of the squares over dt = 0.1: (4+16)/2*0.1 + (1+9)/2*0.1
+    assert bootstrap_trigger(series) == pytest.approx(1.0 + 0.5, rel=1e-15)
 
     bare = NormSeries()
-    bare.record(0.0, {"gradu_LN": 1.0})
+    bare.record(0.0, {"gradu_LN": 1.0, "acc_bootstrap_gradu_LN": 0.0})
     with pytest.raises(ValueError, match="gradb_LN"):
         bootstrap_trigger(bare)
 

@@ -16,6 +16,7 @@ from torusmhd.dynamics import (
     initial_state,
     mhd_rhs,
     pressure_solve,
+    series_columns,
     simulate,
     single_mode_state,
     step_ifrk4,
@@ -71,6 +72,22 @@ def test_taylor_green_pressure_closed_form(grid2):
     want[0, 2 % m] = -(amp**2) / 8
     want[0, -2 % m] = -(amp**2) / 8
     assert np.max(np.abs(grid2.unfold(pi.coeffs[0]) - want)) < 1e-13 * amp**2
+
+
+def test_taylor_green_writes_the_band(grid2, grid3, grid4):
+    # the four modes go straight onto the band: the same bits as the
+    # full-layout construction folded to it
+    amp = 1.7
+    for g in (grid2, grid3, grid4):
+        m = g.modes_per_axis
+        full = np.zeros((g.dim,) + (m,) * g.dim, dtype=complex)
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                at = (s1 % m, s2 % m) + (0,) * (g.dim - 2)
+                full[(0,) + at] = -1j * (amp / 4) * s2
+                full[(1,) + at] = 1j * (amp / 4) * s1
+        got = taylor_green_state(g, amplitude=amp).u.coeffs
+        assert got.tobytes() == g.fold(full).tobytes()
 
 
 def test_taylor_green_rhs_is_pure_diffusion(grid2, grid4):
@@ -301,7 +318,7 @@ def test_simulate_cadence_and_states():
     assert res.status == "completed"
     assert res.series.times == [n * 1e-3 for n in (0, 3, 6, 9, 10)]
     assert [t for t, _s, _pi in states] == [n * 1e-3 for n in (0, 6, 10)]
-    assert len(res.ledger_history["defect"]) == len(res.series.times)
+    assert len(res.series.records["defect"]) == len(res.series.times)
     assert res.final_state.time == pytest.approx(0.01, abs=0)
     # energy must not grow
     e = res.series.records["energy"]
@@ -347,8 +364,8 @@ def test_simulate_matches_manual_stepping():
         assert np.array_equal(res.final_state.b.coeffs, st.b.coeffs)
         assert len(res.series) == len(rows)
         for n, row in enumerate(rows):
-            assert {tag: vals[n] for tag, vals in res.series.records.items()} == row
-        assert res.ledger_history["defect"] == defects
+            assert {tag: res.series.records[tag][n] for tag in row} == row
+        assert res.series.records["defect"] == defects
 
 
 @pytest.mark.parametrize("nu", [0.2, 0.0])
@@ -434,7 +451,7 @@ def test_simulate_zero_initial_stays_zero():
     res = simulate(cfg)
     assert all(v == 0.0 for v in res.series.records["energy"])
     assert res.ledger.defect == 0.0
-    assert res.series.accumulators == {"acc_CLASSICAL_U_u": 0.0}
+    assert res.series.records["acc_CLASSICAL_U_u"] == [0.0] * len(res.series)
     assert res.verdicts == {"CLASSICAL_U": "accumulators_finite"}
 
 
@@ -524,11 +541,14 @@ def test_simulate_criteria_columns_4d():
     assert "L8_u3" in res.series.records
     assert "L8_u4" in res.series.records
     assert "gradu_LN" in res.series.records
-    assert "acc_T1_1_u3" in res.series.accumulators
     assert res.verdicts == {"T1_1": "accumulators_finite"}
-    assert res.series.accumulators["acc_T1_1_u3"] > 0.0
-    # the history column is the store's value at each record
-    assert res.ledger_history["acc_T1_1_u3"][-1] == res.series.accumulators["acc_T1_1_u3"]
+    assert res.series.last()["acc_T1_1_u3"] > 0.0
+    # one row per record: the series.csv columns, each norm before its accumulator
+    assert res.series.columns == ["time", *series_columns(cfg)] == [
+        "time", "energy", "dissipation_integral", "defect", "W", "X", "Y", "Z",
+        "L8_u3", "acc_T1_1_u3", "L8_u4", "acc_T1_1_u4",
+        "gradu_LN", "acc_bootstrap_gradu_LN", "gradb_LN", "acc_bootstrap_gradb_LN",
+    ]
     cols = accumulator_columns(cfg)
     assert cols == (
         ("acc_T1_1_u3", "L8_u3", 16.0),

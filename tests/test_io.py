@@ -264,25 +264,22 @@ def test_series_roundtrip_exact(tmp_path):
     cfg = tiny_config()
     res = simulate(cfg)
     path = tmp_path / tio.SERIES_NAME
-    tio.write_series_csv(path, cfg, res.series, res.ledger_history)
+    tio.write_series_csv(path, res.series)
     table = tio.read_series_csv(path)
-    cols = tio.series_columns(cfg)
+    cols = res.series.columns
     assert list(table) == cols
     assert cols[:4] == ["time", "energy", "dissipation_integral", "defect"]
     assert "L8_u" in cols and "acc_CLASSICAL_U_u" in cols
     # repr round-trips every float bit-exactly
-    assert table["time"] == res.series.times
-    assert table["energy"] == res.series.records["energy"]
-    assert table["defect"] == res.ledger_history["defect"]
+    assert table == {"time": res.series.times, **res.series.records}
 
 
-def test_series_table_missing_column(tmp_path):
-    cfg = tiny_config()
-    res = simulate(cfg)
-    history = dict(res.ledger_history)
-    del history["defect"]
-    with pytest.raises(KeyError, match="defect"):
-        tio.series_table(cfg, res.series, history)
+def test_series_csv_refuses_a_repeated_column(tmp_path):
+    # read by name, a repeated column would hold two values per row
+    path = tmp_path / "dup.csv"
+    path.write_text("time,L6_u3,acc_T1_1_u3,L6_u3\n0.0,1.0,0.5,1.0\n")
+    with pytest.raises(ValueError, match="'L6_u3' appears twice"):
+        tio.read_series_csv(path)
 
 
 def test_series_csv_errors(tmp_path):
@@ -418,7 +415,7 @@ def test_manifest_inventory(tmp_path):
             tmp_path / tio.state_filename(n), st
         ),
     )
-    tio.write_series_csv(tmp_path / tio.SERIES_NAME, cfg, res.series, res.ledger_history)
+    tio.write_series_csv(tmp_path / tio.SERIES_NAME, res.series)
     (tmp_path / "notes.txt").write_text("scratch\n")
     man = tio.write_manifest(tmp_path, res, started=1.0, finished=2.0)
     again = tio.read_manifest(tmp_path)
@@ -426,7 +423,7 @@ def test_manifest_inventory(tmp_path):
     assert man["format"] == "torusmhd-run"
     assert man["status"] == "completed"
     assert man["records"] == len(res.series)
-    assert man["columns"] == tio.series_columns(cfg)
+    assert man["columns"] == res.series.columns
     assert man["config"] == tio.config_to_dict(cfg)
     assert tio.MANIFEST_NAME not in man["files"]
     assert set(man["files"]) == {

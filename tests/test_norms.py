@@ -49,10 +49,8 @@ def test_nan_exponents_are_refused(grid2):
     f = synth_random_field(grid2, 2, seed=4)
     with pytest.raises(ValueError, match="p must be"):
         lp_norm(f, float("nan"))
-    s = NormSeries()
-    s.record(0.0, {"f": 1.0})
     with pytest.raises(ValueError, match="exponent r"):
-        accumulate(s, "f", float("nan"), 0.0)
+        accumulate(None, None, 1.0, float("nan"), 0.0)
 
 
 def test_l2_norm_parseval_equivalence(grid3):
@@ -110,49 +108,36 @@ def test_series_record_validation():
     s.record(1.0, {"a": 3.0, "b": 4.0})
     assert len(s) == 2
     assert s.records["a"] == [1.0, 3.0]
+    assert s.columns == ["time", "a", "b"]
+    assert s.last() == {"a": 3.0, "b": 4.0}
 
 
 def test_accumulate_trapezoid_matches_closed_form():
     # f(t) = t on [0, 1]: int f^r dt = 1/(r+1); trapezoid of t^2 with dt=1e-3
-    s = NormSeries()
     dt = 1e-3
     n = 1000
-    total = 0.0
+    # the first record seeds the integral at 0, whatever the interval
+    assert accumulate(None, None, 7.0, 2.0, dt) == 0.0
+    total = prev = None
     for i in range(n + 1):
-        s.record(i * dt if i else 0.0, {"f": i * dt})
-        if i:
-            total = accumulate(s, "f", 2.0, dt)
+        total = accumulate(total, prev, i * dt, 2.0, dt if i else 0.0)
+        prev = i * dt
     assert total == pytest.approx(1.0 / 3.0, abs=1e-6)
-    assert s.accumulators["int[f]^r2.0"] == total
 
 
 def test_accumulate_sup_mode():
-    s = NormSeries()
-    s.record(0.0, {"f": 5.0})
-    v = accumulate(s, "f", math.inf, 0.0)
-    assert v == 5.0
-    s.record(1.0, {"f": 3.0})
-    v = accumulate(s, "f", math.inf, 1.0)
+    v = accumulate(None, None, 5.0, math.inf, 0.0)
+    assert v == 5.0  # the first record seeds the sup
+    v = accumulate(v, 5.0, 3.0, math.inf, 1.0)
     assert v == 5.0  # sup keeps the earlier maximum
-    s.record(2.0, {"f": 9.0})
-    assert accumulate(s, "f", math.inf, 1.0) == 9.0
+    assert accumulate(v, 3.0, 9.0, math.inf, 1.0) == 9.0
 
 
 def test_accumulate_overflow_is_inf():
     # finite records whose r-th power is past the float range
-    s = NormSeries()
-    s.record(0.0, {"f": 1e200})
-    s.record(1.0, {"f": 1e200})
-    assert accumulate(s, "f", 2.0, 0.0) == 0.0  # a zero-width interval adds nothing
-    assert accumulate(s, "f", 2.0, 0.5) == math.inf
-    assert accumulate(s, "f", math.inf, 0.5, key="sup") == 1e200
-
-
-def test_accumulate_named_key():
-    s = NormSeries()
-    s.record(0.0, {"f": 1.0})
-    accumulate(s, "f", 2.0, 0.0, key="custom")
-    assert "custom" in s.accumulators
+    assert accumulate(0.0, 1e200, 1e200, 2.0, 0.0) == 0.0  # a zero-width interval adds nothing
+    assert accumulate(0.0, 1e200, 1e200, 2.0, 0.5) == math.inf
+    assert accumulate(1e200, 1e200, 1e200, math.inf, 0.5) == 1e200
 
 
 def test_energy_ledger_defect():

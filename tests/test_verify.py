@@ -115,6 +115,18 @@ def test_commutator_leibniz_is_exact_2d():
     assert rep.max < 1e-11
 
 
+def test_commutator_leibniz_report_takes_no_sup(monkeypatch):
+    # the identity compares coefficients only; the estimate's sups are not needed
+    import torusmhd.verify as tv
+
+    calls = []
+    lp_norm = tv.lp_norm
+    monkeypatch.setattr(tv, "lp_norm", lambda *a, **k: calls.append(a) or lp_norm(*a, **k))
+    rep = commutator_leibniz_report(1, seed=0, modes_per_axis=16, dim=2)
+    assert rep.passed
+    assert calls == []
+
+
 def test_commutator_validation(grid2, grid3):
     f, g = band_pair(grid2, seed=0)
     with pytest.raises(ValueError, match="positive"):
