@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -30,9 +29,7 @@ EXIT_DIVERGED = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
 
-THREADS_ENV = "TORUSMHD_THREADS"
-
-__all__ = ["main", "build_parser", "THREADS_ENV"]
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help=f"FFT worker threads (overrides ${THREADS_ENV}; default all cores)",
+        help="FFT worker threads (default all cores)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -66,17 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(flag: int | None) -> None:
-    n = flag
-    if n is None:
-        env = os.environ.get(THREADS_ENV)
-        if env is not None:
-            try:
-                n = int(env)
-            except ValueError:
-                raise tio.ConfigError(
-                    f"environment variable {THREADS_ENV}={env!r} is not an integer"
-                ) from None
+def _resolve_threads(n: int | None) -> None:
     if n is not None and n < 1:
         raise tio.ConfigError(f"thread count must be >= 1, got {n}")
     set_fft_workers(n)
@@ -88,7 +75,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
-    def sink(step: int, state: MhdState, _pi) -> None:
+    def sink(step: int, state: MhdState) -> None:
         tio.write_state_snapshot(out / tio.state_filename(step), state)
 
     result = simulate(config, snapshot_sink=sink)

@@ -528,8 +528,8 @@ def compute_record(
     u: SpectralField,
     b: SpectralField,
     config: SimConfig,
-) -> tuple[dict[str, float], SpectralField | None]:
-    """One row of diagnostics for a state, plus the pressure if required.
+) -> dict[str, float]:
+    """One row of diagnostics for a state.
 
     Every L^p norm of the row (criterion pairs, bootstrap gradients at p = dim)
     comes from one request to :func:`~torusmhd.criteria.monitored_norms`, one
@@ -562,7 +562,7 @@ def compute_record(
     for spec in config.criteria:
         for comp, (p, _r) in spec.pairs:
             row[spec.norm_tag(comp)] = norms[comp, p]
-    return row, pi
+    return row
 
 
 def accumulator_columns(config: SimConfig) -> tuple[tuple[str, str, float], ...]:
@@ -611,14 +611,12 @@ class Recorder:
         times = self.series.times
         return t - times[-1] if times else 0.0
 
-    def record(
-        self, t: float, state: MhdState, ledger: EnergyLedger
-    ) -> SpectralField | None:
-        """Record the state at time t as one row of the series, return the pressure."""
+    def record(self, t: float, state: MhdState, ledger: EnergyLedger) -> None:
+        """Record the state at time t as one row of the series."""
         # a run heading for divergence can overflow |u|^p here; inf is the
         # honest record for that, no warning needed
         with np.errstate(over="ignore"):
-            row, pi = compute_record(state.u, state.b, self.config)
+            row = compute_record(state.u, state.b, self.config)
         row.update(dissipation_integral=ledger.dissipation_integral, defect=ledger.defect)
         # the first record (an empty last row, dt 0) seeds the sups with the
         # initial value and the integrals at 0
@@ -626,7 +624,6 @@ class Recorder:
         for key, tag, r in self.acc_columns:
             row[key] = accumulate(last.get(key), last.get(tag), row[tag], r, dt)
         self.series.record(t, {col: row[col] for col in self.columns})
-        return pi
 
 
 @dataclass
@@ -646,7 +643,7 @@ class SimResult:
 def simulate(
     config: SimConfig,
     initial: MhdState | None = None,
-    snapshot_sink: Callable[[int, MhdState, SpectralField | None], None] | None = None,
+    snapshot_sink: Callable[[int, MhdState], None] | None = None,
 ) -> SimResult:
     """Run the configured simulation.
 
@@ -666,12 +663,12 @@ def simulate(
     for n in range(n_steps + 1):
         t = state.time
         if n % config.record_every == 0 or n == n_steps:
-            pi = recorder.record(t, state, ledger)
+            recorder.record(t, state, ledger)
             at_snapshot = config.snapshot_every and (
                 n % config.snapshot_every == 0 or n == n_steps
             )
             if at_snapshot and snapshot_sink is not None:
-                snapshot_sink(n, state, pi)
+                snapshot_sink(n, state)
         if n == n_steps:
             break
         try:

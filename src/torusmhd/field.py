@@ -185,10 +185,23 @@ def rescale_field(field: SpectralField, lam: int) -> SpectralField:
 
 
 def _hermitian_noise(grid: Grid, components: int, rng: np.random.Generator) -> np.ndarray:
-    # drawn and symmetrised on the full layout, so each seed keeps its field
-    shape = (components,) + (grid.modes_per_axis,) * grid.dim
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return grid.fold(0.5 * (a + grid.conj_reversed(a)))
+    """The band of 0.5 (a + conj(a(-k))) for complex noise a on the full layout.
+
+    The stream is every real part, then every imaginary part, drawn on the
+    full ``(M,)*dim`` layout, so each seed keeps its field; each real array is
+    kept only at +k and -k of the band, and nothing is symmetrised at full size.
+    """
+    m = grid.modes_per_axis
+    shape = (components,) + (m,) * grid.dim
+    at = (grid._embedding(1, m), grid._embedding(1, m, -1))
+
+    def kept() -> list[np.ndarray]:
+        x = rng.standard_normal(shape)
+        return [x[i] for i in at]
+
+    (re_p, re_m), (im_p, im_m) = kept(), kept()
+    # C order, as gather gives, so the normalizing sum adds in the same order
+    return np.ascontiguousarray(0.5 * ((re_p + 1j * im_p) + np.conj(re_m + 1j * im_m)))
 
 
 def _shaped_noise(

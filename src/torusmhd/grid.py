@@ -11,6 +11,9 @@ Coefficient convention: a real field is represented by complex coefficients
 k_last >= 0 half, in shape ``(2K+1,)*(dim-1) + (K+1,)`` (FFT order 0..K,
 -K..-1, then k_last = 0..K); the modes with k_last < 0 are conj(c[-k]).  So
 the layout is the dealiasing truncation: :meth:`Grid.analyze` keeps the band.
+The full ``(M,)*dim`` layout appears only in snapshot files and the seeded
+draw; one index map places the band in it, at +k (where :meth:`Grid.gather`
+on M points reads the band back) or at the mirror -k (:meth:`Grid.unfold`).
 A lattice sum of |c|^2 is :meth:`Grid.parseval_sum`, with
 :attr:`Grid.parseval_weight` 2 for k_last > 0 and 1 on the plane k_last = 0.
 """
@@ -157,33 +160,15 @@ class Grid:
         band, over every axis: with density |c|^2 it is ||f||_2^2."""
         return self.volume * float(np.sum(density * self.parseval_weight))
 
-    @cached_property
-    def _reversal_index(self) -> np.ndarray:
-        # position of wavenumber -k for each position of a full axis
-        m = self.modes_per_axis
-        return (-np.arange(m)) % m
-
-    def conj_reversed(self, coeffs: np.ndarray) -> np.ndarray:
-        """conj(c(-k)) on the full ``(M,)*dim`` layout, the array a real
-        field's full spectrum must equal."""
-        idx = self._reversal_index
-        sel = (slice(None),) * (coeffs.ndim - self.dim) + np.ix_(*[idx] * self.dim)
-        return np.conj(coeffs[sel])
-
-    def fold(self, full: np.ndarray) -> np.ndarray:
-        """The stored band of full ``(M,)*dim`` coefficients, the inverse of
-        :meth:`unfold` on a real band-limited field."""
-        m = self.modes_per_axis
-        return self.gather(full[..., : m // 2 + 1], m)
-
     def unfold(self, coeffs: np.ndarray) -> np.ndarray:
-        """The full ``(M,)*dim`` layout of band coefficients, each k_last < 0
-        mode filled in as conj(c(-k)) and every mode outside the band zero."""
+        """The full ``(M,)*dim`` layout of band coefficients: conj(c) at -k,
+        then c at +k (so the plane k_last = 0 keeps the stored values), and
+        every mode outside the band zero."""
         m = self.modes_per_axis
-        lead = coeffs.shape[: coeffs.ndim - self.dim]
-        full = np.zeros(lead + (m,) * self.dim, dtype=complex)
-        full[self._embedding(len(lead), m)] = coeffs
-        full[..., m // 2 + 1 :] = self.conj_reversed(full)[..., m // 2 + 1 :]
+        lead = coeffs.ndim - self.dim
+        full = np.zeros(coeffs.shape[:lead] + (m,) * self.dim, dtype=complex)
+        full[self._embedding(lead, m, -1)] = np.conj(coeffs)
+        full[self._embedding(lead, m)] = coeffs
         return full
 
     def coordinates(self, m_eval: int | None = None) -> tuple[np.ndarray, ...]:
@@ -200,10 +185,12 @@ class Grid:
     def _spatial_axes(self, arr: np.ndarray) -> tuple[int, ...]:
         return tuple(range(arr.ndim - self.dim, arr.ndim))
 
-    def _embedding(self, lead: int, m_eval: int) -> tuple:
-        # index of every stored mode in the m_eval rfftn half layout
-        idx = [self.wavenumbers % m_eval] * (self.dim - 1) + [np.arange(self.shape[-1])]
-        return (slice(None),) * lead + np.ix_(*idx)
+    def _embedding(self, lead: int, m_eval: int, sign: int = 1) -> tuple:
+        # index of every stored mode k, or with sign = -1 of its mirror -k, on
+        # m_eval points per axis: k_last = 0..K sits at the same positions in
+        # the rfftn half layout and the full one, -k only in the full one
+        ks = [self.wavenumbers] * (self.dim - 1) + [np.arange(self.shape[-1])]
+        return (slice(None),) * lead + np.ix_(*[(sign * k) % m_eval for k in ks])
 
     def scatter(self, coeffs: np.ndarray, m_eval: int) -> np.ndarray:
         """Embed band coefficients into the m_eval ``rfftn`` half layout."""

@@ -1034,7 +1034,7 @@ def collect_lp_balance(
     series: list[tuple[float, float, float, float]] = []
     cfg = dataclasses.replace(config, snapshot_every=config.record_every)
 
-    def sink(n: int, state: MhdState, pi_unused) -> None:
+    def sink(n: int, state: MhdState) -> None:
         pi = pressure_solve(state.u)
         times.append(state.time)
         series.append(_balance_terms(state.u, pi, component, p, q, config.nu))

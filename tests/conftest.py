@@ -48,6 +48,13 @@ def l2_inner(f, g):
     return f.grid.parseval_sum((np.conj(f.coeffs) * g.coeffs).real)
 
 
+def reversed_conj(c, dim):
+    """conj(c(-k)) on the full ``(M,)*dim`` layout, by flipping and rolling
+    every axis: a reference independent of the package's index maps."""
+    axes = tuple(range(c.ndim - dim, c.ndim))
+    return np.conj(np.roll(np.flip(c, axis=axes), 1, axis=axes))
+
+
 def save_config(path, config):
     """Write a configuration as the JSON document ``io.load_config`` reads."""
     Path(path).write_text(json.dumps(tio.config_to_dict(config), indent=2) + "\n")

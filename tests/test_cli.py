@@ -1,10 +1,7 @@
 import json
 import math
-import os
 import shutil
 import struct
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +13,6 @@ from torusmhd.criteria import CriterionSpec, Theorem
 from torusmhd.dynamics import InitialCondition, SimConfig
 
 from conftest import save_config
-
-
-@pytest.fixture(autouse=True)
-def clean_threads_env(monkeypatch):
-    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
 
 
 def write_config(path, **over):
@@ -327,39 +319,6 @@ def test_monitor_grid_mismatch_exits_2(tmp_path, capsys):
     assert not (visc_out / "replay.csv").exists()
 
 
-def test_threads_env_validation(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv(cli.THREADS_ENV, "many")
-    cfg = write_config(tmp_path / "run.json")
-    code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
-    assert code == 2
-    assert "not an integer" in capsys.readouterr().err
-
-
-def test_threads_flag_wins_over_env(monkeypatch, capsys):
-    monkeypatch.setenv(cli.THREADS_ENV, "many")
-    code = cli.main(
-        ["--threads", "1", "verify", "--suite", "scaling", "--seed", "3", "--n", "1"]
-    )
-    assert code == cli.EXIT_OK
-    capsys.readouterr()
-
-
 def test_bad_thread_count_exits_2(capsys):
     assert cli.main(["--threads", "0", "verify", "--suite", "scaling"]) == 2
     assert "thread count" in capsys.readouterr().err
-
-
-def test_threads_env_is_read_by_the_cli_only(tmp_path):
-    # a fresh interpreter, so nothing is imported before the variable is set
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), **{cli.THREADS_ENV: "many"})
-    argv = [sys.executable, "-m", "torusmhd", "verify", "--suite", "scaling", "--n", "1"]
-
-    def run(args):
-        return subprocess.run(args, env=env, cwd=tmp_path, capture_output=True, text=True)
-
-    flagged = run(argv[:3] + ["--threads", "1"] + argv[3:])
-    assert flagged.returncode == cli.EXIT_OK, flagged.stderr
-    plain = run(argv)
-    assert plain.returncode == cli.EXIT_CONFIG
-    assert "not an integer" in plain.stderr

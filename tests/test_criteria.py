@@ -246,7 +246,7 @@ def recorded(monkeypatch, spec, rows, bootstrap=False):
     cfg = SimConfig(dim=4, modes_per_axis=8, criteria=(spec,), monitor_bootstrap=bootstrap)
     fixed = dict(energy=1.0, W=0.0, X=0.0, Y=0.0, Z=0.0)
     it = iter(rows)
-    monkeypatch.setattr(dynamics, "compute_record", lambda u, b, c: ({**fixed, **next(it)}, None))
+    monkeypatch.setattr(dynamics, "compute_record", lambda u, b, c: {**fixed, **next(it)})
     rec = Recorder(cfg)
     for n in range(len(rows)):
         rec.record(0.1 * n, SimpleNamespace(u=None, b=None), EnergyLedger(1.0))

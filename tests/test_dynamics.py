@@ -87,7 +87,7 @@ def test_taylor_green_writes_the_band(grid2, grid3, grid4):
                 full[(0,) + at] = -1j * (amp / 4) * s2
                 full[(1,) + at] = 1j * (amp / 4) * s1
         got = taylor_green_state(g, amplitude=amp).u.coeffs
-        assert got.tobytes() == g.fold(full).tobytes()
+        assert got.tobytes() == g.gather(full, m).tobytes()
 
 
 def test_taylor_green_rhs_is_pure_diffusion(grid2, grid4):
@@ -313,11 +313,11 @@ def test_simulate_cadence_and_states():
         record_every=3,
         snapshot_every=6,
     )
-    states = []
-    res = simulate(cfg, snapshot_sink=lambda _n, st, pi: states.append((st.time, st, pi)))
+    snapped = []
+    res = simulate(cfg, snapshot_sink=lambda _n, st: snapped.append(st.time))
     assert res.status == "completed"
     assert res.series.times == [n * 1e-3 for n in (0, 3, 6, 9, 10)]
-    assert [t for t, _s, _pi in states] == [n * 1e-3 for n in (0, 6, 10)]
+    assert snapped == [n * 1e-3 for n in (0, 6, 10)]
     assert len(res.series.records["defect"]) == len(res.series.times)
     assert res.final_state.time == pytest.approx(0.01, abs=0)
     # energy must not grow
@@ -347,7 +347,7 @@ def test_simulate_matches_manual_stepping():
         ledger = EnergyLedger(energy(st.u, st.b if st.has_b else None))
         rows, defects = [], []
         for n in range(cfg.n_steps + 1):
-            rows.append(compute_record(st.u, st.b, cfg)[0])
+            rows.append(compute_record(st.u, st.b, cfg))
             defects.append(ledger.defect)
             if n == cfg.n_steps:
                 break
@@ -562,10 +562,9 @@ def test_compute_record_free_axes():
     g = make_grid(4, 8)
     u = synth_random_divfree(g, 4, seed=4)
     cfg = SimConfig(dim=4, modes_per_axis=8, free_axes=(1, 2))
-    row, pi = compute_record(u, SpectralField.zeros(g, 4), cfg)
+    row = compute_record(u, SpectralField.zeros(g, 4), cfg)
     vals = wxyz(u, plane=(2, 3))
     assert row["W"] == vals.W and row["Z"] == vals.Z
-    assert pi is None
 
 
 def test_compute_record_samples_each_part_once(monkeypatch):

@@ -4,6 +4,8 @@ import pytest
 from torusmhd import grid as tgrid
 from torusmhd.grid import Grid, make_grid, set_fft_workers
 
+from conftest import reversed_conj
+
 
 def test_make_grid_validation():
     with pytest.raises(ValueError):
@@ -133,11 +135,11 @@ def test_alias_free_modes_has_no_cliff():
 
 
 def _banded(g, seed):
-    # symmetrised on the full (M,)*dim layout, then folded to the stored band
+    # symmetrised on the full (M,)*dim layout, then gathered to the stored band
     rng = np.random.default_rng(seed)
     shape = (1,) + (g.modes_per_axis,) * g.dim
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return g.fold(0.5 * (c + g.conj_reversed(c)))
+    return g.gather(0.5 * (c + reversed_conj(c, g.dim)), g.modes_per_axis)
 
 
 @pytest.mark.parametrize("dim,m", [(2, 12), (2, 16), (3, 12)])

@@ -187,11 +187,40 @@ def test_state_snapshot_refuses_broken_fields(tmp_path):
     divergent = np.zeros(shape, dtype=complex)
     divergent[0, 1, 0, 0] = divergent[0, -1, 0, 0] = 0.3  # u1 along k1
     refused(divergent, "divergence-free")
+    mirror_only = np.zeros(shape, dtype=complex)
+    mirror_only[1, 1, 0, -1] = 0.2j  # k_last < 0, no partner at k = (-1, 0, 1)
+    refused(mirror_only, "Hermitian")
+    stray = np.zeros(shape, dtype=complex)
+    stray[1, 5, 0, 0] = 0.3  # k1 = 5 > K, no partner at k1 = -5
+    refused(stray, "band")
     fine = outside.copy()
     fine[1, 5, 0, 0] = fine[1, -5, 0, 0] = 0.0
     fine[1, 1, 0, 0], fine[1, -1, 0, 0] = 0.2j, -0.2j
     write_raw_snapshot(path, g, fine, nu=0.1, eta=0.1)
     assert np.array_equal(g.unfold(tio.read_state_snapshot(path).u.coeffs), fine[:3])
+
+
+def test_state_snapshot_read_peak_memory_is_the_file_and_the_band(tmp_path):
+    # the checks run a full-layout component at a time and the payload is
+    # not copied, so one dim-4 M = 16 read's traced peak stays below the
+    # file's bytes, one complex full-layout component and the u and b bands
+    # twice over, for gather's copy (10.0 MiB measured for an 8 MiB file;
+    # 16.5 when the checks and a second payload copy were full size)
+    import tracemalloc
+
+    g = make_grid(4, 16)
+    st = small_state(g, seed=7)
+    path = tmp_path / tio.state_filename(0)
+    tio.write_state_snapshot(path, st)
+    bands = st.u.coeffs.nbytes + st.b.coeffs.nbytes
+    component = 16 * 16**4
+    tracemalloc.start()
+    try:
+        tio.read_state_snapshot(path)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size + component + 2 * bands, peak - path.stat().st_size
 
 
 def test_failed_snapshot_write_leaves_no_file(grid2, tmp_path, monkeypatch):
@@ -411,7 +440,7 @@ def test_manifest_inventory(tmp_path):
     cfg = tiny_config(snapshot_every=5)
     res = simulate(
         cfg,
-        snapshot_sink=lambda n, st, pi: tio.write_state_snapshot(
+        snapshot_sink=lambda n, st: tio.write_state_snapshot(
             tmp_path / tio.state_filename(n), st
         ),
     )
