@@ -11,15 +11,22 @@ Coefficient convention: a real field is represented by complex coefficients
 k_last >= 0 half, in shape ``(2K+1,)*(dim-1) + (K+1,)`` (FFT order 0..K,
 -K..-1, then k_last = 0..K); the modes with k_last < 0 are conj(c[-k]).  So
 the layout is the dealiasing truncation: :meth:`Grid.analyze` keeps the band.
-The full ``(M,)*dim`` layout appears only in snapshot files and the seeded
-draw; one index map places the band in it, at +k (where :meth:`Grid.gather`
-on M points reads the band back) or at the mirror -k (:meth:`Grid.unfold`).
-A lattice sum of |c|^2 is :meth:`Grid.parseval_sum`, with
+
+On m points a leading axis holds the band's k = 0..K and -K..-1 slabs at
+positions 0..K and m-K..m-1, and k_last = 0..K sits at 0..K.
+:meth:`Grid.sample` places and inverse-transforms the band one leading axis
+at a time, each pass only on lines that hold band content, then makes one
+``irfft`` along k_last; :meth:`Grid.analyze` makes one batched ``rfftn`` and
+:meth:`Grid.gather` copies the band's slab blocks out of it.  The full
+``(M,)*dim`` layout appears only in snapshot files and the seeded draw, where
+one index map also places each mode's mirror -k (:meth:`Grid.unfold`).  A
+lattice sum of |c|^2 is :meth:`Grid.parseval_sum`, with
 :attr:`Grid.parseval_weight` 2 for k_last > 0 and 1 on the plane k_last = 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -187,38 +194,89 @@ class Grid:
 
     def _embedding(self, lead: int, m_eval: int, sign: int = 1) -> tuple:
         # index of every stored mode k, or with sign = -1 of its mirror -k, on
-        # m_eval points per axis: k_last = 0..K sits at the same positions in
-        # the rfftn half layout and the full one, -k only in the full one
+        # m_eval points per axis of the full layout (and k_last = 0..K of the
+        # half layout): only the full layout's mirror needs it
         ks = [self.wavenumbers] * (self.dim - 1) + [np.arange(self.shape[-1])]
         return (slice(None),) * lead + np.ix_(*[(sign * k) % m_eval for k in ks])
 
-    def scatter(self, coeffs: np.ndarray, m_eval: int) -> np.ndarray:
-        """Embed band coefficients into the m_eval ``rfftn`` half layout."""
+    def _fine(self, m_eval: int) -> int:
         if m_eval < self.modes_per_axis:
             raise ValueError("evaluation grid must be at least as fine as the grid")
-        lead = coeffs.shape[: coeffs.ndim - self.dim]
-        out = np.zeros(lead + (m_eval,) * (self.dim - 1) + (m_eval // 2 + 1,), dtype=complex)
-        out[self._embedding(len(lead), m_eval)] = coeffs
+        return m_eval
+
+    def _slabs(self, m_eval: int) -> tuple[tuple[slice, slice], ...]:
+        # a leading axis's band slabs k = 0..K and -K..-1, each paired with
+        # its positions 0..K and m-K..m-1 on m_eval points
+        n = self.band_limit
+        return (slice(0, n + 1), slice(0, n + 1)), (slice(n + 1, None), slice(m_eval - n, m_eval))
+
+    def _spread(self, x: np.ndarray, axis: int, m_eval: int) -> np.ndarray:
+        # x with leading axis ``axis`` placed on m_eval points, zeros between
+        # its slabs; the last leading axis also pads k_last to m_eval//2 + 1
+        shape = list(x.shape)
+        shape[axis] = m_eval
+        if axis == x.ndim - 2:
+            shape[-1] = m_eval // 2 + 1
+        out = np.zeros(shape, dtype=complex)
+        at, k_last = (slice(None),) * axis, slice(0, x.shape[-1])
+        for band, fine in self._slabs(m_eval):
+            out[at + (fine, ..., k_last)] = x[at + (band,)]
+        return out
+
+    def _leading_axes(self, arr: np.ndarray) -> range:
+        return range(arr.ndim - self.dim, arr.ndim - 1)
+
+    def scatter(self, coeffs: np.ndarray, m_eval: int) -> np.ndarray:
+        """Embed band coefficients into the m_eval ``rfftn`` half layout, one
+        leading axis at a time, as :meth:`sample` places them."""
+        self._fine(m_eval)
+        out = coeffs
+        for axis in self._leading_axes(coeffs):
+            out = self._spread(out, axis, m_eval)
+        if self.dim == 1:  # no leading axis to pad k_last with
+            out = np.zeros(coeffs.shape[:-1] + (m_eval // 2 + 1,), dtype=complex)
+            out[..., : self.band_limit + 1] = coeffs
         return out
 
     def gather(self, coeffs_fine: np.ndarray, m_eval: int) -> np.ndarray:
-        """Extract this grid's band from an m_eval ``rfftn`` half layout, in C
-        order, so a sum over the band never depends on where it came from."""
-        sel = self._embedding(coeffs_fine.ndim - self.dim, m_eval)
-        return np.ascontiguousarray(coeffs_fine[sel])
+        """Extract this grid's band from an m_eval ``rfftn`` half layout (or the
+        full layout, whose k_last = 0..K sit at the same positions), copied
+        once, slab block by slab block, into a C-order array."""
+        lead = coeffs_fine.shape[: coeffs_fine.ndim - self.dim]
+        out = np.empty(lead + self.shape, dtype=coeffs_fine.dtype)
+        k_last = slice(0, self.band_limit + 1)
+        for block in itertools.product(self._slabs(m_eval), repeat=self.dim - 1):
+            band = tuple(b for b, _fine in block)
+            fine = tuple(f for _band, f in block)
+            out[(..., *band, k_last)] = coeffs_fine[(..., *fine, k_last)]
+        return out
 
     def sample(self, coeffs: np.ndarray, m_eval: int | None = None) -> np.ndarray:
         """Evaluate coefficients on the (padded) collocation grid.
 
-        Returns real values of shape ``lead + (m_eval,)*dim``, from one
-        batched ``irfftn`` of the band embedded in the m_eval layout.
+        Returns real values of shape ``lead + (m_eval,)*dim``.  The band is
+        placed and transformed one leading axis at a time: each complex
+        ``ifft`` pass runs on an array m_eval long on the axes done so far and
+        band-sized on the rest, so it touches only lines that hold band
+        content (FFT pruning, Markel 1971).  The last leading axis's placement
+        pads k_last to m_eval//2 + 1 and transforms only its first K + 1
+        columns, so the closing ``irfft`` along k_last needs no padding copy.
+        These are the 1-D passes, in the same order, that pocketfft's n-D
+        ``irfftn`` makes of the band embedded in the half layout, and the
+        values are the same bits.
         """
-        m = m_eval or self.eval_modes
-        spread = self.scatter(coeffs, m)
-        return sfft.irfftn(
-            spread, s=(m,) * self.dim, axes=self._spatial_axes(spread),
-            norm="forward", workers=_FFT_WORKERS,
-        )
+        m = self._fine(m_eval or self.eval_modes)
+        kept = slice(0, self.band_limit + 1)
+        x = coeffs
+        for axis in self._leading_axes(coeffs):
+            x = self._spread(x, axis, m)
+            lines = x[..., kept]
+            done = sfft.ifft(
+                lines, axis=axis, norm="forward", overwrite_x=True, workers=_FFT_WORKERS
+            )
+            if not np.may_share_memory(done, x):  # overwrite_x allows, not promises
+                lines[...] = done
+        return sfft.irfft(x, n=m, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Transform real collocation values back to band coefficients, with

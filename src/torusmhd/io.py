@@ -183,6 +183,7 @@ def read_state_snapshot(path: str | Path) -> MhdState:
             largest = max(largest, float(mag.max()))
             mag[plus] = mag[minus] = 0.0
             outside = max(outside, float(mag.max()))
+            del mag  # freed before the next component's is made, not when replaced
         tol = _INVARIANT_TOL * (largest or 1.0)
         defects = {
             "is not Hermitian-symmetric": symmetry,

@@ -415,9 +415,10 @@ def test_simulate_ledger_survives_b_decaying_to_zero():
 def test_step_peak_memory_holds_no_stage_states():
     # low-storage stages: the stage states die once evaluated and n2, n3
     # live only as their sum, so one dim-4 M = 12 MHD step's traced peak
-    # stays below 38 band coefficient arrays of 0.233 MB (35.1 measured, the
-    # product-grid transforms being most of it; 41.1 when n3 and the fourth
-    # stage state are kept to the end of the step)
+    # stays below 38 band coefficient arrays of 0.233 MB (34.2 measured, the
+    # product-grid transforms being most of it; 35.1 when gather copied the
+    # band twice, 41.1 when n3 and the fourth stage state are kept to the
+    # end of the step)
     import tracemalloc
 
     cfg = SimConfig(

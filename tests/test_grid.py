@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from torusmhd import grid as tgrid
+from torusmhd.criteria import CriterionSpec, Theorem
+from torusmhd.dynamics import SimConfig, compute_record
+from torusmhd.field import synth_random_divfree
 from torusmhd.grid import Grid, make_grid, set_fft_workers
 
 from conftest import reversed_conj
@@ -82,6 +86,85 @@ def test_scatter_gather_inverse(grid2):
         assert np.array_equal(back, c.astype(complex))
     with pytest.raises(ValueError):
         grid2.scatter(c.astype(complex), grid2.modes_per_axis - 2)
+
+
+def _unpruned_sample(g, coeffs, m_eval=None):
+    # the band placed by the index map into the m half layout, then one
+    # batched irfftn over every line of it: the reference the pruned passes
+    # of Grid.sample must reproduce bit for bit
+    m = m_eval or g.eval_modes
+    lead = coeffs.ndim - g.dim
+    spread = np.zeros(
+        coeffs.shape[:lead] + (m,) * (g.dim - 1) + (m // 2 + 1,), dtype=complex
+    )
+    spread[g._embedding(lead, m)] = coeffs
+    return sfft.irfftn(
+        spread, s=(m,) * g.dim, axes=tuple(range(lead, coeffs.ndim)),
+        norm="forward", workers=tgrid._FFT_WORKERS,
+    )
+
+
+@pytest.mark.parametrize("dim,m", [(2, 16), (3, 12), (4, 8), (4, 12)])
+def test_pruned_sample_is_the_unpruned_irfftn_bit_for_bit(dim, m):
+    rng = np.random.default_rng(dim * m)
+    for k in sorted({1, m // 3, (m - 1) // 2}):
+        g = Grid(dim, m, 2 * np.pi, k)
+        sizes = {m, g.eval_modes} | {
+            g.alias_free_modes(degree, band) for degree in (2, 3, 4) for band in (0, k)
+        }
+        for m_eval in sorted(s for s in sizes if s <= 2 * m):
+            for lead in ((1,), (3,), (2, 2)):
+                shape = lead + g.shape
+                c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                got = g.sample(c, m_eval)
+                assert got.shape == lead + (m_eval,) * dim
+                assert np.array_equal(got, _unpruned_sample(g, c, m_eval)), (k, m_eval, lead)
+    with pytest.raises(ValueError):
+        g.sample(c, m - 2)
+
+
+def test_sample_peak_memory_is_the_output_and_one_half_layout():
+    # each pruned pass lives on a band-sized array until the last, whose
+    # m-point half layout the irfft reads without a padding copy: one dim-4
+    # M = 16 component on eval_modes and u, b on the product grid both peak
+    # at the output, one half layout and about a kilobyte of array headers
+    import tracemalloc
+
+    g = make_grid(4, 16)
+    rng = np.random.default_rng(16)
+    for lead, m in ((1, g.eval_modes), (8, g.alias_free_modes(2, g.band_limit))):
+        c = rng.standard_normal((lead,) + g.shape) + 0j
+        values = lead * m**4 * 8
+        half = lead * m ** (g.dim - 1) * (m // 2 + 1) * 16
+        tracemalloc.start()
+        try:
+            g.sample(c, m)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < values + half + c.nbytes, (lead, peak - values - half)
+
+
+def test_record_is_the_unpruned_record(monkeypatch):
+    # every L^p norm of a criterion record, the pressure solve's product-grid
+    # sample included, is the same float as with the unpruned transform
+    g = make_grid(4, 12)
+    u = synth_random_divfree(g, 4, 12)
+    b = synth_random_divfree(g, 4, 112, amplitude=0.5)
+    cfg = SimConfig(
+        dim=4,
+        modes_per_axis=12,
+        criteria=(
+            CriterionSpec(Theorem.T1_4, smallness=True),
+            CriterionSpec(Theorem.T1_5, pairs=(("dpi3", (3, 2)), ("dpi4", (3, 2)))),
+        ),
+        monitor_bootstrap=True,
+    )
+    got = compute_record(u, b, cfg)
+    monkeypatch.setattr(Grid, "sample", _unpruned_sample)
+    want = compute_record(u, b, cfg)
+    assert got == want
+    assert {"L2.4_grad_b", "L3_dpi4", "gradu_LN", "gradb_LN"} <= set(got)
 
 
 def test_quadrature_parseval(grid2):

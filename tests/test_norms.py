@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from torusmhd.field import synth_random_field
+from torusmhd.field import SpectralField, partial_derivative, synth_random_field
 from torusmhd.grid import make_grid
 from torusmhd.norms import (
     EnergyLedger,
@@ -13,6 +13,7 @@ from torusmhd.norms import (
     energy_ledger_update,
     l2_norm,
     lp_norm,
+    lp_norms,
     wxyz,
 )
 
@@ -43,6 +44,19 @@ def test_lp_norm_odd_exponent_brute_force(grid2):
     assert lp_norm(f, p, m_eval=m) == pytest.approx(want, rel=1e-14)
     # default padding is close for this smooth field
     assert lp_norm(f, p) == pytest.approx(want, rel=1e-6)
+
+
+def test_lp_norms_keys_sharing_a_part_keep_their_own_sums(grid2):
+    # "uv" and "ud" start on the same part and go on with different ones:
+    # each adds into a buffer of its own, so neither sees the other's parts
+    f = synth_random_field(grid2, 2, seed=9)
+    u, v, du = ("f", None, 0), ("f", None, 1), ("f", 0, 0)
+    got = lp_norms({"f": f}, {"uv": ([u, v], (3.0,)), "ud": ([u, du], (3.0,))})
+    assert got["uv", 3.0] == lp_norm(f, 3.0)
+    ud = np.concatenate((f.coeffs[:1], partial_derivative(f, 0).coeffs[:1]))
+    assert got["ud", 3.0] == lp_norm(SpectralField(grid2, ud), 3.0)
+    with pytest.raises(ValueError, match="distinct"):
+        lp_norms({"f": f}, {"uu": ([u, u], (2.0,))})
 
 
 def test_nan_exponents_are_refused(grid2):
