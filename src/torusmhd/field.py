@@ -110,9 +110,14 @@ def partial_derivative(field: SpectralField, axis: int) -> SpectralField:
 
 
 def sample_part(
-    field: SpectralField, component: int, axis: int | None = None, m_eval: int | None = None
+    field: SpectralField,
+    component: int,
+    axis: int | None = None,
+    m_eval: int | None = None,
+    rows: slice | None = None,
 ) -> np.ndarray:
-    """Samples of one component of a field, or of its first derivative along ``axis``.
+    """Samples of one component of a field, or of its first derivative along ``axis``,
+    on the ``rows`` of the first axis that :meth:`Grid.sample` keeps.
 
     One component at a time keeps the transform buffers at one scalar
     field's size.
@@ -120,7 +125,7 @@ def sample_part(
     coeffs = field.coeffs[component : component + 1]
     if axis is not None:
         coeffs = coeffs * (1j * field.grid.wave_axes[axis])
-    return field.grid.sample(coeffs, m_eval)[0]
+    return field.grid.sample(coeffs, m_eval, rows)[0]
 
 
 def gradient(field: SpectralField) -> SpectralField:

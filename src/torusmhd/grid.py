@@ -22,6 +22,13 @@ at a time, each pass only on lines that hold band content, then makes one
 one index map also places each mode's mirror -k (:meth:`Grid.unfold`).  A
 lattice sum of |c|^2 is :meth:`Grid.parseval_sum`, with
 :attr:`Grid.parseval_weight` 2 for k_last > 0 and 1 on the plane k_last = 0.
+
+Quadratures of what is not a polynomial in the coefficients stream the grid
+in slabs, consecutive row blocks of the first axis (:meth:`Grid.slabs`):
+``Grid.sample(coeffs, m, rows)`` cuts the rows right after the first pass,
+so a slab is the full sample's rows bit for bit.  A grid of up to 2^20
+points is one slab, and none is cut into more than 8, since every slab
+redoes the first pass.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ __all__ = ["Grid", "make_grid", "set_fft_workers"]
 TWO_PI = 2.0 * np.pi
 
 _FFT_WORKERS = -1
+
+_SLAB_POINTS = 2**20  # the fewest points of a slab unless the grid has fewer
 
 
 def set_fft_workers(n: int | None) -> None:
@@ -210,17 +219,24 @@ class Grid:
         n = self.band_limit
         return (slice(0, n + 1), slice(0, n + 1)), (slice(n + 1, None), slice(m_eval - n, m_eval))
 
-    def _spread(self, x: np.ndarray, axis: int, m_eval: int) -> np.ndarray:
+    def _spread(self, x: np.ndarray, axis: int, m_eval: int, pad: bool) -> np.ndarray:
         # x with leading axis ``axis`` placed on m_eval points, zeros between
-        # its slabs; the last leading axis also pads k_last to m_eval//2 + 1
+        # its slabs; with ``pad`` also k_last padded to m_eval//2 + 1
         shape = list(x.shape)
         shape[axis] = m_eval
-        if axis == x.ndim - 2:
+        if pad:
             shape[-1] = m_eval // 2 + 1
         out = np.zeros(shape, dtype=complex)
         at, k_last = (slice(None),) * axis, slice(0, x.shape[-1])
         for band, fine in self._slabs(m_eval):
             out[at + (fine, ..., k_last)] = x[at + (band,)]
+        return out
+
+    @staticmethod
+    def _pad(x: np.ndarray, m_eval: int) -> np.ndarray:
+        # x with k_last padded to m_eval//2 + 1
+        out = np.zeros(x.shape[:-1] + (m_eval // 2 + 1,), dtype=complex)
+        out[..., : x.shape[-1]] = x
         return out
 
     def _leading_axes(self, arr: np.ndarray) -> range:
@@ -231,12 +247,10 @@ class Grid:
         leading axis at a time, as :meth:`sample` places them."""
         self._fine(m_eval)
         out = coeffs
-        for axis in self._leading_axes(coeffs):
-            out = self._spread(out, axis, m_eval)
-        if self.dim == 1:  # no leading axis to pad k_last with
-            out = np.zeros(coeffs.shape[:-1] + (m_eval // 2 + 1,), dtype=complex)
-            out[..., : self.band_limit + 1] = coeffs
-        return out
+        axes = self._leading_axes(coeffs)
+        for axis in axes:
+            out = self._spread(out, axis, m_eval, pad=axis == axes[-1])
+        return out if axes else self._pad(coeffs, m_eval)
 
     def gather(self, coeffs_fine: np.ndarray, m_eval: int) -> np.ndarray:
         """Extract this grid's band from an m_eval ``rfftn`` half layout (or the
@@ -251,32 +265,58 @@ class Grid:
             out[(..., *band, k_last)] = coeffs_fine[(..., *fine, k_last)]
         return out
 
-    def sample(self, coeffs: np.ndarray, m_eval: int | None = None) -> np.ndarray:
+    def slabs(self, m: int) -> list[slice]:
+        """Consecutive row blocks of the first axis of an m-point grid, the
+        slabs in which quadratures stream :meth:`sample`.
+
+        A slab is ceil(m/8) rows, or 2^20 // m^(dim-1) rows where that is
+        more, so a grid splits into at most 8 slabs, of about 2^20 points or
+        more, and a grid of up to 2^20 points is one slab.  The cap bounds
+        repeated work: each slab redoes the first leading axis's pass, about
+        2% of a dim-4 sample.
+        """
+        rows = max(-(-m // 8), _SLAB_POINTS // m ** (self.dim - 1))
+        return [slice(r, min(r + rows, m)) for r in range(0, m, rows)]
+
+    def sample(
+        self, coeffs: np.ndarray, m_eval: int | None = None, rows: slice | None = None
+    ) -> np.ndarray:
         """Evaluate coefficients on the (padded) collocation grid.
 
-        Returns real values of shape ``lead + (m_eval,)*dim``.  The band is
-        placed and transformed one leading axis at a time: each complex
-        ``ifft`` pass runs on an array m_eval long on the axes done so far and
-        band-sized on the rest, so it touches only lines that hold band
-        content (FFT pruning, Markel 1971).  The last leading axis's placement
-        pads k_last to m_eval//2 + 1 and transforms only its first K + 1
-        columns, so the closing ``irfft`` along k_last needs no padding copy.
-        These are the 1-D passes, in the same order, that pocketfft's n-D
-        ``irfftn`` makes of the band embedded in the half layout, and the
-        values are the same bits.
+        Returns real values of shape ``lead + (m_eval,)*dim``, or with ``rows``
+        (a slice of the first spatial axis, e.g. one of :meth:`slabs`) only
+        those rows of it.  The band is placed and transformed one leading axis
+        at a time: each complex ``ifft`` pass runs on an array m_eval long on
+        the axes done so far and band-sized on the rest, so it touches only
+        lines that hold band content (FFT pruning, Markel 1971).  The last
+        leading axis's placement pads k_last to m_eval//2 + 1 and transforms
+        only its first K + 1 columns, so the closing ``irfft`` along k_last
+        needs no padding copy.  These are the 1-D passes, in the same order,
+        that pocketfft's n-D ``irfftn`` makes of the band embedded in the half
+        layout, and the values are the same bits.  ``rows`` are cut right
+        after the first pass (in dim 2 before k_last is padded), and every
+        later pass works on lines of its own, so a slab is the full sample's
+        rows bit for bit.
         """
         m = self._fine(m_eval or self.eval_modes)
+        cut = rows is not None and range(m)[rows] != range(m)
         kept = slice(0, self.band_limit + 1)
         x = coeffs
-        for axis in self._leading_axes(coeffs):
-            x = self._spread(x, axis, m)
+        axes = self._leading_axes(coeffs)
+        for axis in axes:
+            x = self._spread(x, axis, m, pad=axis == axes[-1] and not cut)
             lines = x[..., kept]
             done = sfft.ifft(
                 lines, axis=axis, norm="forward", overwrite_x=True, workers=_FFT_WORKERS
             )
             if not np.may_share_memory(done, x):  # overwrite_x allows, not promises
                 lines[...] = done
-        return sfft.irfft(x, n=m, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+            if cut:
+                x, cut = x[(slice(None),) * axis + (rows,)], False
+                if axis == axes[-1]:
+                    x = self._pad(x, m)
+        out = sfft.irfft(x, n=m, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
+        return out[..., rows] if cut else out  # dim 1: no leading axis to cut
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Transform real collocation values back to band coefficients, with

@@ -17,6 +17,14 @@ p = 3 up to degree 4 moves ``gradu_LN`` by up to 9.2e-9 relative, past the
 1e-9 that ``perfbench/reference.json`` (computed on 2M) is checked to, and
 degree 8 at M = 32 would need 84 > 64 points.
 
+A record streams the evaluation grid in slabs (:meth:`Grid.slabs`), so its
+L^p samples hold at most a slab of rows each: every record the benchmark
+runs (dim-4 M = 16 on 32^4 = 2^20 points, dim-3 M = 48 on 96^3) is one slab
+and makes the same operations as a full-grid pass, while a dim-4 M = 32
+MHD record (T1.4 smallness, T1.5, bootstrap) streams 64^4 points in 8
+slabs: 5.6-6.4 s at 227 MiB max RSS in-process on a 2-core x86-64 box,
+against 6.6-7.1 s and 749 MiB on the full grid.
+
 Where a record's time goes: a dim-4 M = 16 record with T1.4 smallness,
 T1.5 and the bootstrap samples 35 parts on 32^4 points in about 0.4 s on a
 2-core x86-64 box.  The pruned transforms of ``Grid.sample`` take about 60%
@@ -72,13 +80,17 @@ def lp_norms(
     """``{(key, p): norm}`` for magnitudes built from shared parts, in one pass.
 
     ``request`` maps a key to its parts and exponents; a part is (field name
-    in ``fields``, derivative axis or None, component).  Each distinct part is
+    in ``fields``, derivative axis or None, component), and the fields share
+    one grid.  The pass streams the evaluation grid slab by slab
+    (:meth:`~torusmhd.grid.Grid.slabs`).  In each slab every distinct part is
     sampled once, in (field, axis, component) order, with one part's samples
     alive at a time; its square joins the |f|^2 sum of every key holding it,
-    and a sum becomes its norms as soon as its last part is in.  Each key
-    adds into one buffer of its own, in place: of the keys whose sums a part
-    starts, the first takes the squared samples themselves and every further
-    one a copy.  A key's parts must be distinct.
+    and a sum becomes its slab's maximum or quadrature of |f|^p as soon as
+    its last part is in.  Each key adds into one buffer of its own, in place:
+    of the keys whose sums a part starts, the first takes the squared samples
+    themselves and every further one a copy.  A norm is the maximum over the
+    slabs, or the slab quadratures added in slab order, to the power 1/p.  A
+    key's parts must be distinct; a repeated exponent is served once.
     """
     bad = [p for _parts, ps in request.values() for p in ps if not (p >= 1)]
     if bad:
@@ -93,27 +105,35 @@ def lp_norms(
     names = list(fields)
     visit = sorted(holders, key=lambda q: (names.index(q[0]), -1 if q[1] is None else q[1], q[2]))
     last = {key: part for part in visit for key in holders[part]}
-    sums: dict[Hashable, np.ndarray] = {}
-    out: dict[tuple[Hashable, float], float] = {}
-    for name, axis, comp in visit:
-        sq = sample_part(fields[name], comp, axis, m_eval)
-        sq *= sq
-        taken = False
-        for key in holders[name, axis, comp]:
-            if key in sums:
-                sums[key] += sq
-            else:
-                sums[key], taken = (sq.copy() if taken else sq), True
-            if last[key] == (name, axis, comp):
-                mag, grid = np.sqrt(sums.pop(key)), fields[name].grid
-                for p in request[key][1]:
-                    out[key, p] = (
-                        float(mag.max()) if p == math.inf
-                        else float(grid.quadrature(mag**p) ** (1.0 / p))
-                    )
-                del mag
-        del sq  # freed before the next part is sampled, not when replaced
-    return out
+    if not visit:
+        return {}
+    grid = fields[visit[0][0]].grid
+    m = m_eval or grid.eval_modes
+    slab_values: dict[tuple[Hashable, float], list[float]] = {}
+    for rows in grid.slabs(m):
+        sums: dict[Hashable, np.ndarray] = {}
+        for name, axis, comp in visit:
+            sq = sample_part(fields[name], comp, axis, m, rows)
+            sq *= sq
+            taken = False
+            for key in holders[name, axis, comp]:
+                if key in sums:
+                    sums[key] += sq
+                else:
+                    sums[key], taken = (sq.copy() if taken else sq), True
+                if last[key] == (name, axis, comp):
+                    mag = np.sqrt(sums.pop(key))
+                    for p in dict.fromkeys(request[key][1]):  # a repeated p once
+                        slab_values.setdefault((key, p), []).append(
+                            float(mag.max()) if p == math.inf else grid.quadrature(mag**p)
+                        )
+                    del mag
+            del sq  # freed before the next part is sampled, not when replaced
+    return {  # np.max keeps a NaN slab's NaN
+        (key, p): float(np.max(vals)) if p == math.inf
+        else sum(vals) ** (1.0 / p)
+        for (key, p), vals in slab_values.items()
+    }
 
 
 def l2_norm(field: SpectralField) -> float:

@@ -568,6 +568,18 @@ def test_compute_record_free_axes():
     assert row["W"] == vals.W and row["Z"] == vals.Z
 
 
+def test_compute_record_serves_a_shared_exponent_once():
+    # the bootstrap and the classical criterion at (4, 2) both ask for
+    # grad_u at p = 4: both columns are its one L^4 norm
+    g = make_grid(4, 8)
+    u, b = mhd_pair(g, 6)
+    spec = CriterionSpec(Theorem.CLASSICAL_GRADU, pairs=(("grad_u", (4, 2)),))
+    cfg = SimConfig(dim=4, modes_per_axis=8, criteria=(spec,), monitor_bootstrap=True)
+    row = compute_record(u, b, cfg)
+    assert row["gradu_LN"] == row["L4_grad_u"]
+    assert row["L4_grad_u"] == pytest.approx(lp_norm(gradient(u), 4), rel=1e-14)
+
+
 def test_compute_record_samples_each_part_once(monkeypatch):
     g = make_grid(4, 8)
     u, b = mhd_pair(g, 6)
@@ -583,9 +595,9 @@ def test_compute_record_samples_each_part_once(monkeypatch):
     calls = []
     sample = Grid.sample
 
-    def counting(self, coeffs, m_eval=None):
+    def counting(self, coeffs, m_eval=None, rows=None):
         calls.append((coeffs.shape[0], m_eval or self.eval_modes))
-        return sample(self, coeffs, m_eval)
+        return sample(self, coeffs, m_eval, rows)
 
     monkeypatch.setattr(Grid, "sample", counting)
     compute_record(u, b, cfg)

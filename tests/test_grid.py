@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.fft as sfft
+from hypothesis import given, settings, strategies as st
 
 from torusmhd import grid as tgrid
 from torusmhd.criteria import CriterionSpec, Theorem
 from torusmhd.dynamics import SimConfig, compute_record
-from torusmhd.field import synth_random_divfree
+from torusmhd.field import synth_random_divfree, synth_random_field
 from torusmhd.grid import Grid, make_grid, set_fft_workers
 
 from conftest import reversed_conj
@@ -88,10 +89,10 @@ def test_scatter_gather_inverse(grid2):
         grid2.scatter(c.astype(complex), grid2.modes_per_axis - 2)
 
 
-def _unpruned_sample(g, coeffs, m_eval=None):
+def _unpruned_sample(g, coeffs, m_eval=None, rows=None):
     # the band placed by the index map into the m half layout, then one
-    # batched irfftn over every line of it: the reference the pruned passes
-    # of Grid.sample must reproduce bit for bit
+    # batched irfftn over every line of it, cut to ``rows``: the reference
+    # the pruned passes of Grid.sample must reproduce bit for bit
     m = m_eval or g.eval_modes
     lead = coeffs.ndim - g.dim
     spread = np.zeros(
@@ -101,7 +102,7 @@ def _unpruned_sample(g, coeffs, m_eval=None):
     return sfft.irfftn(
         spread, s=(m,) * g.dim, axes=tuple(range(lead, coeffs.ndim)),
         norm="forward", workers=tgrid._FFT_WORKERS,
-    )
+    )[(slice(None),) * lead + (rows or slice(None),)]
 
 
 @pytest.mark.parametrize("dim,m", [(2, 16), (3, 12), (4, 8), (4, 12)])
@@ -121,6 +122,57 @@ def test_pruned_sample_is_the_unpruned_irfftn_bit_for_bit(dim, m):
                 assert np.array_equal(got, _unpruned_sample(g, c, m_eval)), (k, m_eval, lead)
     with pytest.raises(ValueError):
         g.sample(c, m - 2)
+
+
+def test_sample_rows_are_the_full_sample_rows():
+    # a slab is cut after the first pass; every later pass and the closing
+    # irfft run line by line, so the rows come out as the same bits
+    for dim, m in ((2, 16), (3, 12), (4, 8)):
+        g = make_grid(dim, m)
+        rng = np.random.default_rng(dim * m + 1)
+        sizes = {g.eval_modes} | {
+            g.alias_free_modes(degree, band)
+            for degree in (2, 3, 4) for band in (0, g.band_limit)
+        }
+        for m_eval in sorted(sizes):
+            blocks = (slice(0, 1), slice(m_eval - 1, m_eval),
+                      slice(m_eval // 3, m_eval // 3 + m_eval // 4), slice(0, m_eval))
+            for lead in ((1,), (3,)):
+                c = rng.standard_normal(lead + g.shape) + 1j * rng.standard_normal(lead + g.shape)
+                full = g.sample(c, m_eval)
+                for rows in blocks:
+                    got = g.sample(c, m_eval, rows)
+                    want = full[(slice(None),) * len(lead) + (rows,)]
+                    assert np.array_equal(got, want), (dim, m_eval, lead, rows)
+
+
+def test_slabs_cover_the_rows_once_in_order():
+    # one slab up to about 2^20 points, at most 8 above
+    counts = {(4, 16, 32): 1, (3, 48, 96): 1, (2, 8, 2048): 4, (4, 32, 64): 8, (4, 48, 96): 8}
+    for (dim, modes, m), count in counts.items():
+        assert len(make_grid(dim, modes).slabs(m)) == count, (dim, modes, m)
+    for dim in (2, 3, 4):
+        g = make_grid(dim, 8)
+        for m in (8, 24, 50, 96, 144, 2048):
+            slabs = g.slabs(m)
+            assert [r for rows in slabs for r in range(m)[rows]] == list(range(m))
+            assert len(slabs) <= 8
+            assert all(len(range(m)[rows]) >= 2**20 // m ** (dim - 1) for rows in slabs[:-1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_slab_and_roundtrip_properties(data):
+    dim = data.draw(st.sampled_from((2, 3, 4)), label="dim")
+    modes = data.draw(st.sampled_from({2: (8, 10, 16, 24), 3: (8, 12, 16), 4: (8, 10)}[dim]))
+    g = make_grid(dim, modes)
+    c = synth_random_field(g, 1, data.draw(st.integers(0, 2**16), label="seed")).coeffs
+    m = g.eval_modes
+    start = data.draw(st.integers(0, m - 1), label="start")
+    rows = slice(start, data.draw(st.integers(start + 1, m), label="stop"))
+    assert np.array_equal(g.sample(c, m, rows), g.sample(c, m)[:, rows])
+    back = g.analyze(g.sample(c, modes))
+    assert np.abs(back - c).max() <= 1e-13 * np.abs(c).max()
 
 
 def test_sample_peak_memory_is_the_output_and_one_half_layout():

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from torusmhd.field import SpectralField, partial_derivative, synth_random_field
+from torusmhd.field import SpectralField, partial_derivative, sample_part, synth_random_field
 from torusmhd.grid import make_grid
 from torusmhd.norms import (
     EnergyLedger,
@@ -57,6 +58,36 @@ def test_lp_norms_keys_sharing_a_part_keep_their_own_sums(grid2):
     assert got["ud", 3.0] == lp_norm(SpectralField(grid2, ud), 3.0)
     with pytest.raises(ValueError, match="distinct"):
         lp_norms({"f": f}, {"uu": ([u, u], (2.0,))})
+
+
+def test_lp_norms_serve_a_repeated_exponent_once(grid2):
+    # 4 and 4.0 are one exponent: asking twice gives the norm, not a sum
+    f = synth_random_field(grid2, 2, seed=5)
+    parts = [("f", None, c) for c in range(2)]
+    once = lp_norms({"f": f}, {"f": (parts, (2.0, 4, math.inf))})
+    twice = lp_norms({"f": f}, {"f": (parts, (2.0, 4, math.inf, 2.0, 4.0, math.inf))})
+    assert twice == once
+
+
+def test_lp_norms_stream_a_large_grid_in_slabs():
+    # 144^3 points are three slabs: the sup is the full-grid max exactly, the
+    # quadrature adds the slabs' sums, and memory stays a few slabs deep
+    g = make_grid(3, 72)
+    m = g.eval_modes
+    slabs = g.slabs(m)
+    assert len(slabs) == 3
+    f = synth_random_field(g, 3, seed=72)
+    parts = [("f", None, c) for c in range(3)]
+    tracemalloc.start()
+    try:
+        got = lp_norms({"f": f}, {"f": (parts, (6.0, math.inf))})
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * len(range(m)[slabs[0]]) * m**2 * 8
+    mag = np.sqrt(sum(sample_part(f, c) ** 2 for c in range(3)))
+    assert got["f", math.inf] == mag.max()
+    assert got["f", 6.0] == pytest.approx(g.quadrature(mag**6) ** (1 / 6), rel=1e-13)
 
 
 def test_nan_exponents_are_refused(grid2):

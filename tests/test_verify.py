@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,9 +234,9 @@ def test_exact_quadratures_sample_on_the_rule(monkeypatch):
     sizes = []
     sample = Grid.sample
 
-    def recording(self, coeffs, m_eval=None):
+    def recording(self, coeffs, m_eval=None, rows=None):
         sizes.append(m_eval or self.eval_modes)
-        return sample(self, coeffs, m_eval)
+        return sample(self, coeffs, m_eval, rows)
 
     monkeypatch.setattr(Grid, "sample", recording)
     # the cubic identities and the split, on 3K + 1 = 16 points
@@ -268,6 +269,25 @@ def test_dissipative_identity_exact_cases(grid2):
     vec = synth_random_divfree(grid2, 2, seed=7)
     with pytest.raises(ValueError, match="scalar"):
         check_dissipative_identity(vec, 3.0)
+
+
+def test_dissipative_identity_streams_its_2048_grid():
+    # pad 256 on the 2-torus: 2048^2 points in four slabs, whose quadratures
+    # add up to both sides as quadratured over the whole grid at once
+    f = synth_random_field(make_grid(2, 8), 1, 7, decay=4.0)
+    assert len(f.grid.slabs(2048)) == 4
+    tracemalloc.start()
+    try:
+        rep = check_dissipative_identity(f, 3.0, m_quad=2048)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+    whole = {"lhs": float.fromhex("0x1.f1d14f3232915p-3"), "rhs": float.fromhex("0x1.f1d14f01e139cp-3")}
+    for side, want in whole.items():
+        assert rep.details[0][side] == pytest.approx(want, rel=1e-14), side
+    # a difference of near-equal sides: one last bit of lhs moves it ~1e-8
+    assert rep.passed and rep.max < 1e-6
 
 
 def test_dissipative_fractional_refinement():
