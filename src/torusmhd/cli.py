@@ -19,7 +19,7 @@ from pathlib import Path
 from .criteria import bootstrap_trigger
 from .dynamics import MhdState, Recorder, dissipation_rate, simulate
 from .grid import set_fft_workers
-from .norms import EnergyLedger, energy, energy_ledger_update
+from .norms import accumulate
 from . import io as tio
 from .verify import SUITES, run_suite, suite_passed
 
@@ -83,8 +83,8 @@ def cmd_simulate(args) -> int:
     tio.write_manifest(out, result, started=started, finished=time.time())
     print(f"status: {result.status}")
     print(f"records: {len(result.series)}")
-    print(f"energy: {result.ledger.current_energy!r}")
-    print(f"defect: {result.ledger.defect!r}")
+    print(f"energy: {result.series.last()['energy']!r}")
+    print(f"defect: {result.series.last()['defect']!r}")
     for label, verdict in result.verdicts.items():
         print(f"criterion {label}: {verdict}")
     print(f"wrote {out / tio.SERIES_NAME} and {out / tio.MANIFEST_NAME}")
@@ -112,7 +112,8 @@ def cmd_monitor(args) -> int:
 
     spec_grid = spec_cfg.make_grid()
     recorder = Recorder(spec_cfg)
-    ledger: EnergyLedger | None = None
+    # the ledger's dissipation integral: the trapezoid of the sampled rates
+    dissipation = rate = None
     for t, path in snaps:
         state = tio.read_state_snapshot(path)
         g = state.grid
@@ -127,16 +128,14 @@ def cmd_monitor(args) -> int:
                 f"{path}: snapshot diffusivities nu={state.nu!r}, eta={state.eta!r} "
                 f"do not match the spec's nu={spec_cfg.nu!r}, eta={spec_cfg.eta!r}"
             )
-        e = energy(state.u, state.b if state.has_b else None)
-        if ledger is None:
-            ledger = EnergyLedger(e)
-        energy_ledger_update(ledger, e, dissipation_rate(state), recorder.dt_to(t))
-        recorder.record(t, state, ledger)
+        prev_rate, rate = rate, dissipation_rate(state)
+        dissipation = accumulate(dissipation, prev_rate, rate, 1.0, recorder.dt_to(t))
+        recorder.record(t, state, dissipation)
 
     replay_csv = indir / "replay.csv"
     tio.write_series_csv(replay_csv, recorder.series)
     print(f"replayed {len(snaps)} snapshots from {indir}")
-    print(f"defect: {ledger.defect!r}")
+    print(f"defect: {recorder.series.last()['defect']!r}")
     for spec in spec_cfg.criteria:
         acc = spec.accumulated(recorder.series)
         finite = "finite" if all(map(math.isfinite, acc.values())) else "DIVERGENT"

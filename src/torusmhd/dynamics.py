@@ -9,10 +9,11 @@ forms the stress u_i u_j - b_i b_j, shared by the momentum term and
 and analyses them dim at a time.  The pressure is eliminated per mode by the
 Leray projection, and diffusion is integrated exactly by the integrating
 factor inside the RK4 stages.  A scalar quadrature of the dissipation rate
-rides along the same stages so the energy ledger closes to the integrator's
-own order.  Its endpoint nonlinearity, cached on the new state, is the next
-step's first stage ("first same as last", Dormand & Prince 1980): a viscous
-run of N steps makes 4N + 1 nonlinear evaluations, an inviscid one 4N.
+rides along the same stages so the energy ledger (the series' ``defect``)
+closes to the integrator's own order.  Its endpoint nonlinearity, cached on
+the new state, is the next step's first stage ("first same as last", Dormand
+& Prince 1980): a viscous run of N steps makes 4N + 1 nonlinear evaluations,
+an inviscid one 4N.
 
 Time-step guidance: diffusion costs nothing (it is exact), so stability is
 set by advection.  A conservative bound is dt <= 1.5 / (kappa_max * V_max)
@@ -32,7 +33,7 @@ import numpy as np
 from .criteria import BOOTSTRAP_TAGS, SPLIT_TAGS, CriterionSpec, monitored_norms
 from .field import SpectralField, check_divfree, _leray_raw
 from .grid import Grid, make_grid
-from .norms import EnergyLedger, NormSeries, accumulate, energy, lp_norm, wxyz
+from .norms import NormSeries, accumulate, energy, lp_norm, wxyz
 
 __all__ = [
     "MhdState",
@@ -594,10 +595,12 @@ class Recorder:
     """The record and accumulate loop of a live run and of a replay.
 
     Owns the series, the run's one table: each :meth:`record` appends one row
-    holding the diagnostics, the ledger's dissipation integral and defect, and
-    every criterion and bootstrap accumulator, advanced from the previous row.
-    The ledger stays with the caller, since a live run and a replay advance it
-    differently; :meth:`record` only reads it.
+    holding the diagnostics, the ledger's dissipation integral and defect (the
+    first row's energy minus this row's, minus the integral), and every
+    accumulator, advanced from the previous row.  The defect vanishes for the
+    exact dynamics; along a run it is the time integrator's error.  The
+    integral stays with the caller, since a live run sums the steps'
+    increments and a replay takes the trapezoid of the sampled rates.
     """
 
     def __init__(self, config: SimConfig):
@@ -611,13 +614,17 @@ class Recorder:
         times = self.series.times
         return t - times[-1] if times else 0.0
 
-    def record(self, t: float, state: MhdState, ledger: EnergyLedger) -> None:
+    def record(self, t: float, state: MhdState, dissipation_integral: float) -> None:
         """Record the state at time t as one row of the series."""
         # a run heading for divergence can overflow |u|^p here; inf is the
         # honest record for that, no warning needed
         with np.errstate(over="ignore"):
             row = compute_record(state.u, state.b, self.config)
-        row.update(dissipation_integral=ledger.dissipation_integral, defect=ledger.defect)
+        initial = self.series.records["energy"][0] if self.series else row["energy"]
+        row.update(
+            dissipation_integral=dissipation_integral,
+            defect=initial - row["energy"] - dissipation_integral,
+        )
         # the first record (an empty last row, dt 0) seeds the sups with the
         # initial value and the integrals at 0
         last, dt = self.series.last(), self.dt_to(t)
@@ -628,13 +635,12 @@ class Recorder:
 
 @dataclass
 class SimResult:
-    """Everything a run produced (file writing is the caller's business)."""
+    """Everything a run produced (file writing is the caller's business); the
+    series ends at the final state, the last finite one if the run diverged."""
 
     status: str
     config: SimConfig
-    grid: Grid
     series: NormSeries
-    ledger: EnergyLedger
     # criterion label -> "accumulators_finite", "accumulator_divergent" or "diverged"
     verdicts: dict[str, str]
     final_state: MhdState
@@ -649,13 +655,14 @@ def simulate(
 
     Records diagnostics on the record cadence, hands states on the snapshot
     cadence to ``snapshot_sink``, and returns cleanly with status
-    ``"diverged"`` if the integration blows up.
+    ``"diverged"`` if the integration blows up, after recording the last
+    finite state if the cadence had not.
     """
     grid = config.make_grid()
     if initial is not None and initial.grid != grid:
         raise ValueError("initial state grid does not match the configuration")
     state = initial if initial is not None else initial_state(config, grid)
-    ledger = EnergyLedger(energy(state.u, state.b if state.has_b else None))
+    dissipation = 0.0
     recorder = Recorder(config)
     n_steps = config.n_steps
     status = "completed"
@@ -663,7 +670,7 @@ def simulate(
     for n in range(n_steps + 1):
         t = state.time
         if n % config.record_every == 0 or n == n_steps:
-            recorder.record(t, state, ledger)
+            recorder.record(t, state, dissipation)
             at_snapshot = config.snapshot_every and (
                 n % config.snapshot_every == 0 or n == n_steps
             )
@@ -675,8 +682,10 @@ def simulate(
             state, dinc = step_ifrk4(state, config.dt)
         except DivergedError:
             status = "diverged"
+            if n % config.record_every:
+                recorder.record(t, state, dissipation)
             break
-        ledger.advance(energy(state.u, state.b if state.has_b else None), dinc)
+        dissipation += dinc
 
     verdicts = {}
     for spec in config.criteria:
@@ -685,4 +694,4 @@ def simulate(
             "diverged" if status == "diverged"
             else "accumulators_finite" if finite else "accumulator_divergent"
         )
-    return SimResult(status, config, grid, recorder.series, ledger, verdicts, state)
+    return SimResult(status, config, recorder.series, verdicts, state)

@@ -204,7 +204,7 @@ class Grid:
     def _embedding(self, lead: int, m_eval: int, sign: int = 1) -> tuple:
         # index of every stored mode k, or with sign = -1 of its mirror -k, on
         # m_eval points per axis of the full layout (and k_last = 0..K of the
-        # half layout): only the full layout's mirror needs it
+        # half layout), or with m_eval = 2K' + 1 in the band layout of K' >= K
         ks = [self.wavenumbers] * (self.dim - 1) + [np.arange(self.shape[-1])]
         return (slice(None),) * lead + np.ix_(*[(sign * k) % m_eval for k in ks])
 
@@ -242,15 +242,18 @@ class Grid:
     def _leading_axes(self, arr: np.ndarray) -> range:
         return range(arr.ndim - self.dim, arr.ndim - 1)
 
-    def scatter(self, coeffs: np.ndarray, m_eval: int) -> np.ndarray:
-        """Embed band coefficients into the m_eval ``rfftn`` half layout, one
-        leading axis at a time, as :meth:`sample` places them."""
-        self._fine(m_eval)
-        out = coeffs
-        axes = self._leading_axes(coeffs)
-        for axis in axes:
-            out = self._spread(out, axis, m_eval, pad=axis == axes[-1])
-        return out if axes else self._pad(coeffs, m_eval)
+    def embed(self, coeffs: np.ndarray, target: Grid) -> np.ndarray:
+        """These band coefficients on ``target``'s band: the modes both bands
+        hold are copied, a wider target band is zero beyond them and a
+        narrower one drops the rest."""
+        if target.dim != self.dim:
+            raise ValueError(f"cannot embed a dim-{self.dim} band in dim {target.dim}")
+        lead = coeffs.ndim - self.dim
+        if target.band_limit < self.band_limit:
+            return coeffs[target._embedding(lead, 2 * self.band_limit + 1)]
+        out = np.zeros(coeffs.shape[:lead] + target.shape, dtype=coeffs.dtype)
+        out[self._embedding(lead, 2 * target.band_limit + 1)] = coeffs
+        return out
 
     def gather(self, coeffs_fine: np.ndarray, m_eval: int) -> np.ndarray:
         """Extract this grid's band from an m_eval ``rfftn`` half layout (or the

@@ -1,4 +1,4 @@
-"""Norms, anisotropic functionals, the run's series table and the energy ledger.
+"""Norms, anisotropic functionals and the run's series table.
 
 Quadratic quantities (L2 norms, the energy, the W/X/Y/Z functionals) are
 evaluated exactly in coefficient space via Parseval, as
@@ -32,7 +32,7 @@ of it; :func:`lp_norms`' elementwise work (squares, in-place sums, sqrt,
 powers, quadrature) is most of the other 40%.
 
 A run keeps its numbers in one table, :class:`NormSeries`: one row per
-record holding the diagnostics, the ledger and each accumulator, which
+record holding the diagnostics, the energy ledger and each accumulator, which
 :func:`accumulate` advances from the previous row's values.
 """
 
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field as dfield
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,8 +55,6 @@ __all__ = [
     "WXYZ",
     "NormSeries",
     "accumulate",
-    "EnergyLedger",
-    "energy_ledger_update",
 ]
 
 WXYZ = namedtuple("WXYZ", ["W", "X", "Y", "Z"])
@@ -238,46 +235,3 @@ def accumulate(
         return acc + 0.5 * dt * (prev**r + value**r)
     except OverflowError:
         return math.inf
-
-
-@dataclass
-class EnergyLedger:
-    """Bookkeeping for the energy inequality along a run.
-
-    ``defect = initial - current - dissipation_integral`` vanishes for the
-    exact dynamics; along the discrete trajectory it is the time-integration
-    error and stays non-negative up to that error's size.
-    """
-
-    initial_energy: float
-    current_energy: float = dfield(default=math.nan)
-    dissipation_integral: float = 0.0
-    _last_rate: float = dfield(default=math.nan, repr=False)
-
-    def __post_init__(self):
-        if math.isnan(self.current_energy):
-            self.current_energy = self.initial_energy
-
-    @property
-    def defect(self) -> float:
-        return self.initial_energy - self.current_energy - self.dissipation_integral
-
-    def advance(self, current_energy: float, dissipation_increment: float) -> None:
-        """Stepper path: the increment is integrated inside the time step."""
-        self.current_energy = float(current_energy)
-        self.dissipation_integral += float(dissipation_increment)
-
-
-def energy_ledger_update(
-    ledger: EnergyLedger, current_energy: float, dissipation_rate: float, dt: float
-) -> EnergyLedger:
-    """Replay path: trapezoid-advance the ledger from sampled dissipation rates.
-
-    The first call only seeds the rate; subsequent calls integrate over the
-    preceding interval of width dt.
-    """
-    ledger.current_energy = float(current_energy)
-    if not math.isnan(ledger._last_rate):
-        ledger.dissipation_integral += 0.5 * dt * (ledger._last_rate + dissipation_rate)
-    ledger._last_rate = float(dissipation_rate)
-    return ledger

@@ -416,8 +416,7 @@ def band_pair(
     g0 = synth_random_field(ref, 1, seed + 10_000, decay=decay)
     if grid.band_limit < ref.band_limit:
         raise ValueError("target grid band cannot hold the reference content")
-    m = grid.modes_per_axis
-    return tuple(SpectralField(grid, grid.gather(ref.scatter(f.coeffs, m), m)) for f in (f0, g0))
+    return tuple(SpectralField(grid, ref.embed(f.coeffs, grid)) for f in (f0, g0))
 
 
 def commutator_ensemble(

@@ -1,12 +1,23 @@
+import atexit
 import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import configuration as hypothesis_configuration
 
 from torusmhd import io as tio
 from torusmhd.field import SpectralField
 from torusmhd.grid import make_grid
+
+# hypothesis keeps its files under .hypothesis/ in the working directory
+# unless told otherwise, even for derandomized tests; a throwaway home,
+# removed at exit, keeps a test run from littering the checkout
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="torusmhd-hypothesis-")
+hypothesis_configuration.set_hypothesis_home_dir(_HYPOTHESIS_HOME)
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import pytest
 from torusmhd import cli
 from torusmhd import io as tio
 from torusmhd.criteria import CriterionSpec, Theorem
-from torusmhd.dynamics import InitialCondition, SimConfig
+from torusmhd.dynamics import InitialCondition, MhdState, SimConfig, initial_state
 
 from conftest import save_config
 
@@ -74,6 +74,35 @@ def test_simulate_reports_divergence(tmp_path, capsys):
     assert "status: diverged" in capsys.readouterr().out
     # partial outputs still land on disk with the status recorded
     assert tio.read_manifest(out)["status"] == "diverged"
+
+
+def test_diverged_run_ends_its_table_at_the_last_finite_state(tmp_path, capsys):
+    # off the record cadence the run still records the state it stopped at,
+    # the one whose energy and defect it prints; at record_every = 1 that
+    # state is already a row, and both runs end on the same one
+    tables = {}
+    for every in (4, 1):
+        cfg = write_config(
+            tmp_path / f"run{every}.json",
+            nu=1e-6,
+            dt=0.5,
+            t_end=4.0,
+            record_every=every,
+            snapshot_every=0,
+            initial=InitialCondition(preset="random_divfree", seed=0, amplitude=50.0),
+        )
+        out = tmp_path / f"out{every}"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_DIVERGED
+        printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines()[:4])
+        table = tables[every] = tio.read_series_csv(out / tio.SERIES_NAME)
+        assert printed["status"] == "diverged"
+        assert int(printed["records"]) == len(table["time"]) == tio.read_manifest(out)["records"]
+        assert float(printed["energy"]) == table["energy"][-1]
+        assert float(printed["defect"]) == table["defect"][-1]
+    every4, every1 = tables[4], tables[1]
+    assert every4["time"][-1] % 2.0 != 0.0  # off the cadence of record_every = 4
+    for col in ("time", "energy", "dissipation_integral", "defect"):
+        assert every4[col][-1] == every1[col][-1], col
 
 
 def test_simulate_overflowing_records_end_divergent(tmp_path, capsys):
@@ -185,6 +214,24 @@ def test_monitor_replays_stored_run(tmp_path, capsys):
     assert {"acc_T1_1_u3", "acc_bootstrap_gradu_LN"} <= set(run_table)
     for col in set(run_table) - ledger:
         assert replay_table[col] == run_table[col], col
+    assert f"defect: {replay_table['defect'][-1]!r}" in text
+
+
+def test_monitor_ledger_is_the_trapezoid_of_the_rates(tmp_path, monkeypatch, capsys):
+    # three snapshots of one state at spacing 0.5, replayed with rates 2, 4, 6
+    cfg_path = tmp_path / "spec.json"
+    cfg = monitor_config(cfg_path)
+    state = initial_state(cfg)
+    for n in range(3):
+        moved = MhdState(state.u, state.b, 0.5 * n, cfg.nu, cfg.eta)
+        tio.write_state_snapshot(tmp_path / tio.state_filename(n), moved)
+    rates = iter((2.0, 4.0, 6.0))
+    monkeypatch.setattr(cli, "dissipation_rate", lambda state: next(rates))
+    assert cli.main(["monitor", "--in", str(tmp_path), "--spec", str(cfg_path)]) == cli.EXIT_OK
+    assert "defect: -4.0" in capsys.readouterr().out
+    replay = tio.read_series_csv(tmp_path / "replay.csv")
+    assert replay["dissipation_integral"] == [0.0, 1.5, 4.0]
+    assert replay["defect"] == [0.0, -1.5, -4.0]
 
 
 def test_shared_norm_columns_read_back_once(tmp_path, monkeypatch, capsys):

@@ -30,7 +30,7 @@ from torusmhd.dynamics import (
     simulate,
 )
 from torusmhd.field import SpectralField
-from torusmhd.norms import EnergyLedger, NormSeries, lp_norm, wxyz
+from torusmhd.norms import NormSeries, lp_norm, wxyz
 
 INF = math.inf
 
@@ -249,7 +249,7 @@ def recorded(monkeypatch, spec, rows, bootstrap=False):
     monkeypatch.setattr(dynamics, "compute_record", lambda u, b, c: {**fixed, **next(it)})
     rec = Recorder(cfg)
     for n in range(len(rows)):
-        rec.record(0.1 * n, SimpleNamespace(u=None, b=None), EnergyLedger(1.0))
+        rec.record(0.1 * n, SimpleNamespace(u=None, b=None), 0.0)
     return rec.series
 
 
@@ -261,7 +261,7 @@ def test_monitor_status_seeding():
     g = cfg.make_grid()
     rec = Recorder(cfg)
     state = MhdState(synth_random_divfree(g, 2, seed=1), SpectralField.zeros(g, 2))
-    rec.record(0.0, state, EnergyLedger(1.0))
+    rec.record(0.0, state, 0.0)
     first = rec.series.records["L8_u"][0]
     assert first > 0.0
     last = rec.series.last()

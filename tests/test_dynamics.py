@@ -24,7 +24,7 @@ from torusmhd.dynamics import (
 )
 from torusmhd.field import SpectralField, gradient, synth_random_divfree
 from torusmhd.grid import Grid, make_grid
-from torusmhd.norms import EnergyLedger, energy, l2_norm, lp_norm, wxyz
+from torusmhd.norms import energy, l2_norm, lp_norm, wxyz
 
 from conftest import l2_inner
 
@@ -344,11 +344,12 @@ def test_simulate_matches_manual_stepping():
         res = simulate(cfg)
         g = cfg.make_grid()
         st = initial_state(cfg)
-        ledger = EnergyLedger(energy(st.u, st.b if st.has_b else None))
+        e0 = energy(st.u, st.b if st.has_b else None)
+        dissipation = 0.0
         rows, defects = [], []
         for n in range(cfg.n_steps + 1):
             rows.append(compute_record(st.u, st.b, cfg))
-            defects.append(ledger.defect)
+            defects.append(e0 - energy(st.u, st.b if st.has_b else None) - dissipation)
             if n == cfg.n_steps:
                 break
             fresh = MhdState(
@@ -359,7 +360,7 @@ def test_simulate_matches_manual_stepping():
                 st.eta,
             )
             st, dinc = step_ifrk4(fresh, cfg.dt)
-            ledger.advance(energy(st.u, st.b if st.has_b else None), dinc)
+            dissipation += dinc
         assert np.array_equal(res.final_state.u.coeffs, st.u.coeffs)
         assert np.array_equal(res.final_state.b.coeffs, st.b.coeffs)
         assert len(res.series) == len(rows)
@@ -408,8 +409,9 @@ def test_simulate_ledger_survives_b_decaying_to_zero():
     res = simulate(cfg)
     assert res.status == "completed"
     assert not np.any(res.final_state.b.coeffs)
-    assert res.ledger.dissipation_integral > 0.5**2
-    assert abs(res.ledger.defect) < 1e-4 * res.ledger.initial_energy
+    last = res.series.last()
+    assert last["dissipation_integral"] > 0.5**2
+    assert abs(last["defect"]) < 1e-4 * res.series.records["energy"][0]
 
 
 def test_step_peak_memory_holds_no_stage_states():
@@ -451,7 +453,7 @@ def test_simulate_zero_initial_stays_zero():
     )
     res = simulate(cfg)
     assert all(v == 0.0 for v in res.series.records["energy"])
-    assert res.ledger.defect == 0.0
+    assert res.series.records["defect"] == [0.0] * len(res.series)
     assert res.series.records["acc_CLASSICAL_U_u"] == [0.0] * len(res.series)
     assert res.verdicts == {"CLASSICAL_U": "accumulators_finite"}
 
@@ -478,10 +480,10 @@ def test_simulate_diffusion_only_ledger_is_exact():
         initial=InitialCondition(preset="single_mode", amplitude=1.5),
     )
     res = simulate(cfg)
-    led = res.ledger
-    diss_exact = led.initial_energy * -math.expm1(-2 * nu * cfg.t_end)
-    assert led.dissipation_integral == pytest.approx(diss_exact, rel=1e-12)
-    assert abs(led.defect) <= 1e-12 * led.initial_energy
+    e0, last = res.series.records["energy"][0], res.series.last()
+    diss_exact = e0 * -math.expm1(-2 * nu * cfg.t_end)
+    assert last["dissipation_integral"] == pytest.approx(diss_exact, rel=1e-12)
+    assert abs(last["defect"]) <= 1e-12 * e0
 
 
 def test_simulate_ledger_order_under_strong_nonlinearity():
@@ -501,8 +503,8 @@ def test_simulate_ledger_order_under_strong_nonlinearity():
                 preset="random_divfree", seed=3, decay=2.0, amplitude=20.0, b_amplitude=10.0
             ),
         )
-        led = simulate(cfg).ledger
-        defects.append(abs(led.defect) / led.initial_energy)
+        series = simulate(cfg).series
+        defects.append(abs(series.last()["defect"]) / series.records["energy"][0])
     orders = [math.log2(a / b) for a, b in zip(defects, defects[1:])]
     assert min(orders) >= 4.0, (defects, orders)
 

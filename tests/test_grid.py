@@ -73,20 +73,29 @@ def test_sample_matches_direct_sum():
     assert np.abs(g.sample(c)[0] - direct).max() < 1e-13
 
 
-def test_scatter_gather_inverse(grid2):
+def test_embed_then_truncate_returns_the_band(grid2):
     rng = np.random.default_rng(1)
-    c = rng.standard_normal((3,) + grid2.shape)
-    for m in (grid2.modes_per_axis, 48):
-        fine = grid2.scatter(c.astype(complex), m)
-        assert fine.shape == (3, m, m // 2 + 1)
-        # the band sits at k mod m, and nothing else is filled
+    c = rng.standard_normal((3,) + grid2.shape) + 1j * rng.standard_normal((3,) + grid2.shape)
+    kk = grid2.band_limit
+    for wide in (make_grid(2, 48), Grid(2, 20, grid2.side_length, kk)):
+        up = grid2.embed(c, wide)
+        assert up.shape == (3,) + wide.shape
+        # the band sits at k mod 2K' + 1, and nothing else is filled
         k = grid2.wavenumbers
-        assert np.array_equal(fine[:, k % m][..., : grid2.band_limit + 1], c)
-        assert np.count_nonzero(fine) == np.count_nonzero(c)
-        back = grid2.gather(fine, m)
-        assert np.array_equal(back, c.astype(complex))
+        assert np.array_equal(up[:, k % (2 * wide.band_limit + 1)][..., : kk + 1], c)
+        assert np.count_nonzero(up) == np.count_nonzero(c)
+        assert np.array_equal(wide.embed(up, grid2), c)
     with pytest.raises(ValueError):
-        grid2.scatter(c.astype(complex), grid2.modes_per_axis - 2)
+        grid2.embed(c, make_grid(3, 16))
+
+
+def test_analyze_gathers_the_sampled_band(grid2):
+    # analyze keeps the band of an rfftn by gather, from any m >= M points
+    c = synth_random_field(grid2, 3, seed=1).coeffs
+    for m in (grid2.modes_per_axis, 48):
+        back = grid2.analyze(grid2.sample(c, m))
+        assert back.shape == c.shape
+        assert np.abs(back - c).max() <= 1e-13 * np.abs(c).max()
 
 
 def _unpruned_sample(g, coeffs, m_eval=None, rows=None):

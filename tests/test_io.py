@@ -4,8 +4,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from torusmhd.criteria import CriterionSpec, Theorem
+from torusmhd.criteria import (
+    _CLASSICAL,
+    _COMPONENTS,
+    SMALLNESS_ENDPOINTS,
+    CriterionSpec,
+    Theorem,
+    admissible,
+)
 from torusmhd.dynamics import InitialCondition, MhdState, SimConfig, simulate, step_ifrk4
 from torusmhd.field import synth_random_divfree, synth_random_field
 from torusmhd.grid import Grid, make_grid
@@ -358,6 +366,62 @@ def test_config_document_roundtrip(tmp_path):
     assert tio.load_config(path) == cfg
     # infinite exponents travel as the string "inf"
     assert doc["criteria"][0]["pairs"]["u4"][0] == "inf"
+
+
+_EXPONENTS = (1.0, 1.5, 2.0, 2.4, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 12.0, 16.0, math.inf)
+# the admissible (p, r) among these, by theorem and dim; the split theorems
+# exist only in dim 4
+_PAIRS = {
+    (theorem, dim): pairs
+    for theorem in Theorem
+    for dim in ((2, 3, 4) if theorem in _CLASSICAL else (4,))
+    if (pairs := [(p, r) for p in _EXPONENTS for r in _EXPONENTS
+                  if admissible(theorem, p, r, dim)])
+}
+
+
+@st.composite
+def sim_configs(draw):
+    """Valid configurations: every field drawn, criteria with finite and
+    infinite exponents, smallness specs and free axes in dim 4."""
+    dim = draw(st.sampled_from((2, 3, 4)))
+    specs = []
+    for theorem in draw(st.lists(st.sampled_from(list(Theorem)), unique=True, max_size=3)):
+        if dim == 4 and theorem in SMALLNESS_ENDPOINTS and draw(st.booleans()):
+            specs.append(CriterionSpec(theorem, smallness=True))
+        elif (theorem, dim) in _PAIRS:
+            pair = st.sampled_from(_PAIRS[theorem, dim])
+            pairs = tuple((c, draw(pair)) for c in _COMPONENTS[theorem])
+            specs.append(CriterionSpec(theorem, pairs))
+    dt = draw(st.floats(1e-6, 1.0))
+    record_every = draw(st.integers(1, 5))
+    return SimConfig(
+        dim=dim,
+        modes_per_axis=draw(st.sampled_from(range(8, 66, 2))),
+        side_length=draw(st.floats(1e-3, 1e3)),
+        nu=draw(st.floats(0.0, 10.0)),
+        eta=draw(st.floats(0.0, 10.0)),
+        dt=dt,
+        t_end=dt * draw(st.integers(1, 1000)),
+        initial=InitialCondition(
+            preset=draw(st.sampled_from(InitialCondition._PRESETS)),
+            seed=draw(st.integers(0, 2**31)),
+            decay=draw(st.floats(0.1, 10.0)),
+            amplitude=draw(st.floats(-1e3, 1e3)),
+            b_amplitude=draw(st.floats(0.0, 1e3)),
+        ),
+        record_every=record_every,
+        snapshot_every=record_every * draw(st.integers(0, 3)),
+        criteria=tuple(specs),
+        monitor_bootstrap=draw(st.booleans()),
+        free_axes=tuple(draw(st.permutations((1, 2, 3, 4)))[:2]) if dim == 4 else (3, 4),
+    )
+
+
+@settings(derandomize=True, deadline=None)
+@given(cfg=sim_configs())
+def test_config_document_roundtrip_property(cfg):
+    assert tio.config_from_dict(json.loads(json.dumps(tio.config_to_dict(cfg)))) == cfg
 
 
 def test_classical_pairs_follow_the_run_dimension():
