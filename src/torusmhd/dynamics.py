@@ -393,10 +393,10 @@ class InitialCondition:
 class SimConfig:
     """Complete description of one simulation.
 
-    ``record_every`` and ``snapshot_every`` are step counts; snapshots must
-    align with records so a replay sees the same sample times.  ``free_axes``
-    (1-based) picks which two component axes are treated as the monitored
-    pair, with the anisotropic plane being the complementary axes.
+    ``t_end`` is a whole number of ``dt`` steps; ``record_every`` and
+    ``snapshot_every`` are step counts, and snapshots must align with records
+    so a replay sees the same sample times.  ``free_axes`` (1-based) picks the
+    two monitored component axes; the anisotropic plane is the other two.
     """
 
     dim: int = 4
@@ -453,6 +453,10 @@ class SimConfig:
                 )
         if self.n_steps < 1:
             raise ValueError("t_end must cover at least one step")
+        if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(
+                f"t_end {self.t_end} is not a whole number of steps of dt {self.dt}"
+            )
 
     @property
     def n_steps(self) -> int:

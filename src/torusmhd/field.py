@@ -14,11 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid, make_grid
+from .grid import Grid
 
 __all__ = [
     "SpectralField",
-    "make_grid",
     "check_divfree",
     "leray_project",
     "rescale_field",

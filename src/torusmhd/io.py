@@ -7,8 +7,12 @@ positions -k (Hermitian symmetry) and the rest of the array (band limit).
 The series file is the run's table (:class:`~torusmhd.norms.NormSeries`) as
 plain CSV, its columns in the table's order, each named once; floats are
 written with ``repr`` so repeated runs of the same configuration produce
-byte-identical files that read back bit for bit.  Every file is renamed
-into place once complete, so a failed write leaves no partial file behind.
+byte-identical files that read back bit for bit.  A config document is the
+fields of :class:`~torusmhd.dynamics.SimConfig`, one key each in field order,
+with ``initial`` the fields of its :class:`~torusmhd.dynamics.InitialCondition`:
+a scalar's kind is its default's, and only ``criteria`` and ``free_axes`` are
+written and read by hand.  Every file is renamed into place once complete, so
+a failed write leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import os
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -229,6 +233,7 @@ def list_state_snapshots(directory: str | Path) -> list[tuple[float, Path]]:
 
 SERIES_NAME = "series.csv"
 MANIFEST_NAME = "manifest.json"
+MANIFEST_VERSION = 1
 
 
 def write_series_csv(path: str | Path, series: NormSeries) -> None:
@@ -260,6 +265,11 @@ def read_series_csv(path: str | Path) -> dict[str, list[float]]:
 
 # -- configuration documents --------------------------------------------------
 
+# the kinds a scalar field's default may have, named as the errors name them
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+# the fields of SimConfig that are no scalars, each read by config_from_dict
+_COMPOSITES = ("initial", "criteria", "free_axes")
+
 
 def _num_out(v: float):
     if math.isinf(v):
@@ -275,51 +285,34 @@ def _num_in(v, path: str) -> float:
     return float(v)
 
 
+def _criterion_to_dict(spec: CriterionSpec) -> dict:
+    entry: dict = {"theorem": spec.theorem.value}
+    if spec.smallness:
+        entry["smallness"] = True
+    else:
+        entry["pairs"] = {comp: [_num_out(p), _num_out(r)] for comp, (p, r) in spec.pairs}
+    return entry
+
+
 def config_to_dict(config: SimConfig) -> dict:
-    criteria = []
-    for spec in config.criteria:
-        entry: dict = {"theorem": spec.theorem.value}
-        if spec.smallness:
-            entry["smallness"] = True
-        else:
-            entry["pairs"] = {
-                comp: [_num_out(p), _num_out(r)] for comp, (p, r) in spec.pairs
-            }
-        criteria.append(entry)
-    return {
-        "dim": config.dim,
-        "modes_per_axis": config.modes_per_axis,
-        "side_length": config.side_length,
-        "nu": config.nu,
-        "eta": config.eta,
-        "dt": config.dt,
-        "t_end": config.t_end,
-        "initial": {
-            "preset": config.initial.preset,
-            "seed": config.initial.seed,
-            "decay": config.initial.decay,
-            "amplitude": config.initial.amplitude,
-            "b_amplitude": config.initial.b_amplitude,
-        },
-        "record_every": config.record_every,
-        "snapshot_every": config.snapshot_every,
-        "criteria": criteria,
-        "monitor_bootstrap": config.monitor_bootstrap,
-        "free_axes": list(config.free_axes),
-    }
+    """The config document: one key per field of :class:`SimConfig`, in field order."""
+    doc = {f.name: getattr(config, f.name) for f in fields(config)}
+    doc["initial"] = asdict(config.initial)
+    doc["criteria"] = [_criterion_to_dict(s) for s in config.criteria]
+    doc["free_axes"] = list(config.free_axes)
+    return doc
 
 
-def _check_keys(doc: dict, allowed: tuple[str, ...], path: str) -> None:
+def _check_keys(doc: dict, allowed: tuple[str, ...], where: str) -> None:
     for k in doc:
         if k not in allowed:
-            where = f"{path}.{k}" if path else k
-            raise ConfigError(f"unknown config key '{where}'")
+            raise ConfigError(f"unknown config key '{where}{k}'")
 
 
 def _criterion_from_dict(doc: dict, path: str) -> CriterionSpec:
     if not isinstance(doc, dict):
         raise ConfigError(f"expected an object at '{path}'")
-    _check_keys(doc, ("theorem", "smallness", "pairs"), path)
+    _check_keys(doc, ("theorem", "smallness", "pairs"), f"{path}.")
     if "theorem" not in doc:
         raise ConfigError(f"missing 'theorem' at '{path}'")
     try:
@@ -356,37 +349,27 @@ def _criterion_from_dict(doc: dict, path: str) -> CriterionSpec:
         raise ConfigError(f"at '{path}': {exc}") from None
 
 
-_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
-
-
-def _take(doc: dict, keys: tuple[str, ...], kind: type, where: str, out: dict) -> None:
-    """Copy the keys present in ``doc`` into ``out``, refusing values of
-    another kind (a bool is no number; float accepts integers too)."""
-    for k in (k for k in keys if k in doc):
-        v = doc[k]
-        if isinstance(v, bool) != (kind is bool) or not isinstance(
-            v, (int, float) if kind is float else kind
-        ):
-            raise ConfigError(f"'{where}{k}' must be {_KINDS[kind]}, got {v!r}")
-        out[k] = float(v) if kind is float else v
-
-
-_TOP_KEYS = (
-    "dim",
-    "modes_per_axis",
-    "side_length",
-    "nu",
-    "eta",
-    "dt",
-    "t_end",
-    "initial",
-    "record_every",
-    "snapshot_every",
-    "criteria",
-    "monitor_bootstrap",
-    "free_axes",
-)
-_INITIAL_KEYS = ("preset", "seed", "decay", "amplitude", "b_amplitude")
+def _scalars(doc: dict, cls: type, where: str) -> dict:
+    """The scalar fields of ``cls`` that ``doc`` sets, refusing a key that is
+    no field of ``cls`` and a value of another kind than the field's default
+    (a bool is no number; a float field accepts integers too)."""
+    known = fields(cls)
+    _check_keys(doc, tuple(f.name for f in known), where)
+    out: dict = {}
+    for f in known:
+        kind = type(f.default_factory() if f.default is MISSING else f.default)
+        if kind not in _KINDS:
+            if f.name not in _COMPOSITES:
+                raise TypeError(f"{cls.__name__}.{f.name} is no scalar and has no config reader")
+            continue
+        if f.name in doc:
+            v = doc[f.name]
+            if isinstance(v, bool) != (kind is bool) or not isinstance(
+                v, (int, float) if kind is float else kind
+            ):
+                raise ConfigError(f"'{where}{f.name}' must be {_KINDS[kind]}, got {v!r}")
+            out[f.name] = float(v) if kind is float else v
+    return out
 
 
 def config_from_dict(doc: dict) -> SimConfig:
@@ -398,11 +381,7 @@ def config_from_dict(doc: dict) -> SimConfig:
     """
     if not isinstance(doc, dict):
         raise ConfigError("the configuration document must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "")
-    kwargs: dict = {}
-    _take(doc, ("dim", "modes_per_axis", "record_every", "snapshot_every"), int, "", kwargs)
-    _take(doc, ("side_length", "nu", "eta", "dt", "t_end"), float, "", kwargs)
-    _take(doc, ("monitor_bootstrap",), bool, "", kwargs)
+    kwargs = _scalars(doc, SimConfig, "")
     if "free_axes" in doc:
         fa = doc["free_axes"]
         if not (isinstance(fa, list) and len(fa) == 2 and all(isinstance(a, int) and not isinstance(a, bool) for a in fa)):
@@ -412,11 +391,7 @@ def config_from_dict(doc: dict) -> SimConfig:
         ini = doc["initial"]
         if not isinstance(ini, dict):
             raise ConfigError("'initial' must be an object")
-        _check_keys(ini, _INITIAL_KEYS, "initial")
-        ikw: dict = {}
-        _take(ini, ("preset",), str, "initial.", ikw)
-        _take(ini, ("seed",), int, "initial.", ikw)
-        _take(ini, ("decay", "amplitude", "b_amplitude"), float, "initial.", ikw)
+        ikw = _scalars(ini, InitialCondition, "initial.")
         try:
             kwargs["initial"] = InitialCondition(**ikw)
         except ValueError as exc:
@@ -476,7 +451,7 @@ def write_manifest(
         files[p.name] = file_sha256(p)
     manifest = {
         "format": "torusmhd-run",
-        "format_version": SNAPSHOT_VERSION,
+        "format_version": MANIFEST_VERSION,
         "package_version": __version__,
         "status": result.status,
         "seed": result.config.initial.seed,

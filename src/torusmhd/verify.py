@@ -1005,7 +1005,6 @@ def balance_run_config(
     nu: float = 0.2,
     dt: float = 1e-3,
     seed: int = 11,
-    snapshot_every: int = 0,
 ) -> SimConfig:
     """The canonical hydrodynamic run the balance check is calibrated on.
 
@@ -1024,7 +1023,6 @@ def balance_run_config(
             preset="random_divfree", seed=seed, decay=3.0, amplitude=0.5
         ),
         record_every=1,
-        snapshot_every=snapshot_every,
     )
 
 

@@ -139,6 +139,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "modes_per_axis" in err
+    # a t_end between two steps is refused, not rounded to either
+    bad.write_text(json.dumps({"dim": 2, "modes_per_axis": 8, "dt": 0.1, "t_end": 0.15}))
+    assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
     # json reads NaN and Infinity tokens; the constructors refuse them
     for doc in (
         '{"nu": NaN}',

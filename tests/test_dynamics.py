@@ -276,6 +276,10 @@ def test_sim_config_validation():
         SimConfig(free_axes=(0, 4))
     with pytest.raises(ValueError, match="at least one step"):
         SimConfig(dim=2, dt=0.1, t_end=0.01)
+    with pytest.raises(ValueError, match="t_end 0.25 is not a whole number of steps of dt 0.1"):
+        SimConfig(dim=2, dt=0.1, t_end=0.25)
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point, yet three whole steps
+    assert SimConfig(dim=2, dt=0.1, t_end=0.3).n_steps == 3
 
 
 def test_initial_state_presets():

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -445,6 +447,47 @@ def test_classical_pairs_follow_the_run_dimension():
     assert tio.config_from_dict({**doc, "dim": 4}).criteria[0].label == "CLASSICAL_GRADU"
 
 
+def test_config_document_keys_are_the_dataclass_fields():
+    doc = tio.config_to_dict(SimConfig())
+    assert list(doc) == [f.name for f in dataclasses.fields(SimConfig)]
+    assert list(doc["initial"]) == [f.name for f in dataclasses.fields(InitialCondition)]
+
+
+def _wrong_kind(default):
+    """A JSON value of another kind than ``default``'s (a bool for a number,
+    a string for a bool, a number for a string, a float for an integer)."""
+    if isinstance(default, bool):
+        return "yes"
+    return {int: 2.5, float: True, str: 7}[type(default)]
+
+
+# every scalar field by its dotted key, with a value of the wrong kind
+_WRONG_KINDS = {
+    prefix + f.name: _wrong_kind(getattr(cls(), f.name))
+    for cls, prefix in ((SimConfig, ""), (InitialCondition, "initial."))
+    for f in dataclasses.fields(cls)
+    if isinstance(getattr(cls(), f.name), (bool, int, float, str))
+}
+
+
+@pytest.mark.parametrize("key", list(_WRONG_KINDS))
+def test_config_refuses_a_scalar_of_the_wrong_kind(key):
+    head, _, name = key.rpartition(".")
+    doc = {name: _WRONG_KINDS[key]}
+    with pytest.raises(tio.ConfigError, match=rf"'{re.escape(key)}' must be"):
+        tio.config_from_dict({head: doc} if head else doc)
+
+
+def test_config_reader_refuses_a_field_it_cannot_read():
+    @dataclasses.dataclass(frozen=True)
+    class Grown:
+        dim: int = 4
+        axes: tuple[int, ...] = (1, 2)
+
+    with pytest.raises(TypeError, match="Grown.axes"):
+        tio._scalars({}, Grown, "")
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(tio.ConfigError, match="'viscosity'"):
         tio.config_from_dict({"viscosity": 1.0})
@@ -476,6 +519,8 @@ def test_config_rejects_unknown_keys():
             "admissible",
         ),
         ({"dim": 2, "dt": -1.0}, "dt"),
+        # 0.15 is one and a half steps of 0.1: refused, not run to 0.1 or 0.2
+        ({"dim": 2, "modes_per_axis": 8, "dt": 0.1, "t_end": 0.15}, "whole number of steps"),
         ({"dim": 5}, "dim must be one of"),
         ({"modes_per_axis": 7}, "modes_per_axis"),
         ({"side_length": -1}, "side_length"),
@@ -516,6 +561,7 @@ def test_manifest_inventory(tmp_path):
     again = tio.read_manifest(tmp_path)
     assert again == man
     assert man["format"] == "torusmhd-run"
+    assert man["format_version"] == tio.MANIFEST_VERSION
     assert man["status"] == "completed"
     assert man["records"] == len(res.series)
     assert man["columns"] == res.series.columns

@@ -358,6 +358,16 @@ def test_balance_input_validation():
         collect_lp_balance(misaligned, 2, 6.5, 2.0)
 
 
+def test_lp_balance_holds_along_a_short_run():
+    # the suite-all check end to end on a short run; at M = 8 the residual
+    # (1.6e-4) exceeds the threshold, at M = 12 it is 2.4e-5
+    data = collect_lp_balance(balance_run_config(t_end=0.006, modes_per_axis=12), 2, 6.5, 2.0)
+    assert len(data.times) == 7
+    report = check_lp_pressure_balance(data)
+    assert report.passed, max(report.samples)
+    assert all(d["dominated"] for d in report.details)
+
+
 # ------------------------------------------------------------------- suites
 
 
