@@ -1,5 +1,8 @@
 """Regularity-criterion bookkeeping: admissible exponent regions, monitored
-quantities, and the Gronwall right-hand-side functionals.
+quantities, the Gronwall right-hand-side functionals, and the name of every
+norm and accumulator column of a record, each in one (norm column, quantity,
+p, accumulator column, r) of :attr:`CriterionSpec.columns` or
+:func:`bootstrap_columns`.
 
 Admissibility is decided in exact rational arithmetic on the binary values
 of the inputs, so boundary pairs land on the correct side deterministically.
@@ -23,10 +26,12 @@ __all__ = [
     "Theorem",
     "CriterionSpec",
     "admissible",
+    "bootstrap_columns",
     "bootstrap_trigger",
     "gronwall_rhs",
     "monitored_field",
     "monitored_norms",
+    "PRESSURE_TAGS",
     "SPLIT_TAGS",
     "p_label",
     "SMALLNESS_ENDPOINTS",
@@ -72,7 +77,8 @@ _PARTS = {
     "dpi3": ("pi", "3", 0), "dpi4": ("pi", "4", 0), "grad_pi": ("pi", "*", 0),
 }
 _SOURCES = {"b": "a magnetic field", "pi": "the pressure"}
-_PRESSURE_TAGS = frozenset(t for t, (f, _a, _c) in _PARTS.items() if f == "pi")
+# the quantities sampled from the pressure: a record needs it for one of these
+PRESSURE_TAGS = frozenset(t for t, (f, _a, _c) in _PARTS.items() if f == "pi")
 # the quantities that need the two-component split of dim 4
 SPLIT_TAGS = frozenset(t for t, (_f, a, c) in _PARTS.items() if {a, c} & {"3", "4"})
 _CLASSICAL = frozenset(
@@ -186,22 +192,19 @@ class CriterionSpec:
     def label(self) -> str:
         return self.theorem.value
 
-    def norm_tag(self, comp: str) -> str:
-        p = dict(self.pairs)[comp][0]
-        return f"L{p_label(p)}_{comp}"
-
-    def accumulator_key(self, comp: str) -> str:
-        return f"acc_{self.label}_{comp}"
+    @property
+    def columns(self) -> tuple[tuple[str, str, float, str, float], ...]:
+        """(norm column, quantity, p, accumulator column, r) of each monitored
+        quantity, in column order."""
+        return tuple(
+            (f"L{p_label(p)}_{c}", c, p, f"acc_{self.label}_{c}", r) for c, (p, r) in self.pairs
+        )
 
     def accumulated(self, series: NormSeries) -> dict[str, float]:
         """This criterion's accumulator values in the last row of ``series``,
-        by accumulator key."""
+        by accumulator column."""
         last = series.last()
-        return {k: last[k] for k in (self.accumulator_key(c) for c, _ in self.pairs)}
-
-    @property
-    def needs_pressure(self) -> bool:
-        return any(c in _PRESSURE_TAGS for c, _ in self.pairs)
+        return {acc: last[acc] for _norm, _q, _p, acc, _r in self.columns}
 
 
 def _parts(tag: str, fields: dict, free_axes: tuple[int, int]) -> tuple[tuple, ...]:
@@ -246,13 +249,19 @@ def monitored_norms(
     free_axes: tuple[int, int] = (2, 3),
 ) -> dict[tuple[str, float], float]:
     """``{(tag, p): norm}`` for ``request`` = {tag: exponents}, in one pass of
-    :func:`~torusmhd.norms.lp_norms`: tags share the parts they overlap in."""
+    :func:`~torusmhd.norms.lp_norms`: tags share the parts they overlap in.  A
+    quantity of an identically zero field is 0.0 at every p, sampled nowhere."""
     fields = {"u": u, "b": b, "pi": pi}
     parts = {tag: (_parts(tag, fields, free_axes), ps) for tag, ps in request.items()}
-    return lp_norms({k: f for k, f in fields.items() if f is not None}, parts)
+    live = {k: f for k, f in fields.items() if f is not None and np.any(f.coeffs)}
+    zero = {(tag, p): 0.0 for tag, ps in request.items() if _PARTS[tag][0] not in live for p in ps}
+    return zero | lp_norms(live, {t: v for t, v in parts.items() if _PARTS[t][0] in live})
 
 
-BOOTSTRAP_TAGS = ("gradu_LN", "gradb_LN")
+def bootstrap_columns(dim: int) -> tuple[tuple[str, str, float, str, float], ...]:
+    """The bootstrap's (norm column, quantity, p, accumulator column, r):
+    ||grad u||_{L^N} and ||grad b||_{L^N} at N = ``dim``, integrated squared."""
+    return tuple((f"grad{f}_LN", f"grad_{f}", dim, f"acc_bootstrap_grad{f}_LN", 2.0) for f in "ub")
 
 
 def bootstrap_trigger(series: NormSeries) -> float:
@@ -262,8 +271,7 @@ def bootstrap_trigger(series: NormSeries) -> float:
     """
     last = series.last()
     total = 0.0
-    for tag in BOOTSTRAP_TAGS:
-        key = f"acc_bootstrap_{tag}"
+    for _norm, _q, _p, key, _r in bootstrap_columns(4):  # the same in every dim
         if key not in last:
             raise ValueError(f"series is missing bootstrap column '{key}'")
         total += last[key]
@@ -316,7 +324,7 @@ def gronwall_rhs(
     plane = tuple(a for a in range(4) if a not in free_axes)
     vals = wxyz(u, b, plane=plane)
     out = {"W": vals.W, "X": vals.X, "Y": vals.Y, "Z": vals.Z}
-    for comp, (p, _r) in spec.pairs:
+    for _norm, comp, p, _acc, _r in spec.columns:
         # smallness pairs are pinned to the endpoint by construction; the
         # float endpoint may sit one ulp off the exact rational
         if not spec.smallness and _as_frac(p) != math.inf and _as_frac(p) < lo:
@@ -324,9 +332,9 @@ def gronwall_rhs(
                 f"p={p} for '{comp}' is below the functional's range (>= {lo})"
             )
     norms = monitored_norms(
-        {comp: (p,) for comp, (p, _r) in spec.pairs}, u, b, free_axes=free_axes
+        {comp: (p,) for _norm, comp, p, _acc, _r in spec.columns}, u, b, free_axes=free_axes
     )
-    for comp, (p, _r) in spec.pairs:
+    for _norm, comp, p, _acc, _r in spec.columns:
         a_n, a_x, a_z = expo(p)
         term = norms[comp, p] ** a_n
         if a_x:

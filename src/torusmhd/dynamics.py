@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .criteria import BOOTSTRAP_TAGS, SPLIT_TAGS, CriterionSpec, monitored_norms
+from .criteria import PRESSURE_TAGS, SPLIT_TAGS, CriterionSpec, bootstrap_columns, monitored_norms
 from .field import SpectralField, check_divfree, _leray_raw
 from .grid import Grid, make_grid
 from .norms import NormSeries, accumulate, energy, lp_norm, wxyz
@@ -258,12 +258,14 @@ def pressure_solve(u: SpectralField, b: SpectralField | None = None) -> Spectral
     """Mean-zero pressure balancing the momentum nonlinearity.
 
     Solves Delta pi = -d_i d_j (u_i u_j - b_i b_j) per mode from exactly
-    dealiased products, returning the band-limited scalar field.
+    dealiased products, returning the band-limited scalar field.  A zero b
+    is no b: it is not sampled.
     """
     g = u.grid
     if u.components != g.dim:
         raise ValueError("pressure_solve needs one velocity component per axis")
-    us, bs = _product_samples(g, u.coeffs, b.coeffs if b is not None else None)
+    bc = b.coeffs if b is not None and np.any(b.coeffs) else None
+    us, bs = _product_samples(g, u.coeffs, bc)
     pi_hat = np.zeros(g.shape, dtype=complex)
     for _kind, i, j, s in _products(g, us, bs, induction=False):
         w = g.wave_axes[i] * g.wave_axes[j] / g.k_squared_safe
@@ -444,13 +446,12 @@ class SimConfig:
         for s in self.criteria:
             if s.classical:
                 s.check_admissible(self.dim)
+        fa = tuple(self.free_axes)
         # the two-axis split only exists in dim 4; lower dims keep the default
-        if self.dim == 4:
-            fa = self.free_axes
-            if len(fa) != 2 or len(set(fa)) != 2 or not all(1 <= a <= 4 for a in fa):
-                raise ValueError(
-                    f"free_axes must be two distinct 1-based axes <= 4, got {fa}"
-                )
+        if self.dim != 4 and fa != (3, 4):
+            raise ValueError(f"free_axes is the dim-4 split; dim {self.dim} keeps (3, 4), got {fa}")
+        if len(fa) != 2 or len(set(fa)) != 2 or not all(1 <= a <= 4 for a in fa):
+            raise ValueError(f"free_axes must be two distinct 1-based axes <= 4, got {fa}")
         if self.n_steps < 1:
             raise ValueError("t_end must cover at least one step")
         if abs(self.n_steps * self.dt - self.t_end) > 1e-9 * self.t_end:
@@ -467,8 +468,12 @@ class SimConfig:
         return (self.free_axes[0] - 1, self.free_axes[1] - 1)
 
     @property
-    def needs_pressure(self) -> bool:
-        return any(s.needs_pressure for s in self.criteria)
+    def columns(self) -> tuple[tuple[str, str, float, str, float], ...]:
+        """Every (norm column, quantity, p, accumulator column, r) of a record:
+        each criterion's :attr:`~torusmhd.criteria.CriterionSpec.columns` in
+        turn, then the bootstrap's."""
+        boot = bootstrap_columns(self.dim) if self.monitor_bootstrap else ()
+        return tuple(c for s in self.criteria for c in s.columns) + boot
 
     def make_grid(self) -> Grid:
         return make_grid(self.dim, self.modes_per_axis, self.side_length)
@@ -534,52 +539,25 @@ def compute_record(
     b: SpectralField,
     config: SimConfig,
 ) -> dict[str, float]:
-    """One row of diagnostics for a state.
-
-    Every L^p norm of the row (criterion pairs, bootstrap gradients at p = dim)
-    comes from one request to :func:`~torusmhd.criteria.monitored_norms`, one
-    sampling pass.  This single code path serves both the live run and
-    snapshot replay, so the two produce identical values for identical states.
+    """One row of diagnostics for a state: the energy, W, X, Y, Z in dim 4, and
+    the norm column of each of :attr:`SimConfig.columns`, all from one request
+    to :func:`~torusmhd.criteria.monitored_norms` (one sampling pass, which
+    samples no part of a zero b).  This single code path serves both the live
+    run and snapshot replay, so the two produce identical values for
+    identical states.
     """
-    has_b = bool(np.any(b.coeffs))
-    barg = b if has_b else None
-    row: dict[str, float] = {"energy": energy(u, barg)}
-    plane = tuple(a for a in range(4) if a not in config.free_axes0) if config.dim == 4 else None
-    if plane is not None:
-        vals = wxyz(u, barg, plane=plane)
-        row.update(W=vals.W, X=vals.X, Y=vals.Y, Z=vals.Z)
-    pi = None
-    if config.needs_pressure:
-        pi = pressure_solve(u, barg)
-    n = config.dim
+    row: dict[str, float] = {"energy": energy(u, b)}
+    if config.dim == 4:
+        plane = tuple(a for a in range(4) if a not in config.free_axes0)
+        row.update(wxyz(u, b, plane=plane)._asdict())
+    cols = config.columns
+    pi = pressure_solve(u, b) if any(q in PRESSURE_TAGS for _n, q, *_ in cols) else None
     request: dict[str, list[float]] = {}
-    if config.monitor_bootstrap:
-        request["grad_u"] = [n]
-        if has_b:
-            request["grad_b"] = [n]
-    for spec in config.criteria:
-        for comp, (p, _r) in spec.pairs:
-            request.setdefault(comp, []).append(p)
+    for _norm, q, p, _acc, _r in cols:
+        request.setdefault(q, []).append(p)
     norms = monitored_norms(request, u, b, pi, config.free_axes0)
-    if config.monitor_bootstrap:
-        row["gradu_LN"] = norms["grad_u", n]
-        row["gradb_LN"] = norms["grad_b", n] if has_b else 0.0
-    for spec in config.criteria:
-        for comp, (p, _r) in spec.pairs:
-            row[spec.norm_tag(comp)] = norms[comp, p]
+    row.update({norm: norms[q, p] for norm, q, p, _acc, _r in cols})
     return row
-
-
-def accumulator_columns(config: SimConfig) -> tuple[tuple[str, str, float], ...]:
-    """(accumulator key, source tag, exponent r) in canonical column order."""
-    cols: list[tuple[str, str, float]] = []
-    for spec in config.criteria:
-        for comp, (_p, r) in spec.pairs:
-            cols.append((spec.accumulator_key(comp), spec.norm_tag(comp), r))
-    if config.monitor_bootstrap:
-        for tag in BOOTSTRAP_TAGS:
-            cols.append((f"acc_bootstrap_{tag}", tag, 2.0))
-    return tuple(cols)
 
 
 def series_columns(config: SimConfig) -> tuple[str, ...]:
@@ -590,8 +568,7 @@ def series_columns(config: SimConfig) -> tuple[str, ...]:
     cols = ["energy", "dissipation_integral", "defect"]
     if config.dim == 4:
         cols += ["W", "X", "Y", "Z"]
-    for key, tag, _r in accumulator_columns(config):
-        cols += [tag, key]
+    cols += [c for norm, _q, _p, acc, _r in config.columns for c in (norm, acc)]
     return tuple(dict.fromkeys(cols))
 
 
@@ -610,7 +587,6 @@ class Recorder:
     def __init__(self, config: SimConfig):
         self.config = config
         self.series = NormSeries()
-        self.acc_columns = accumulator_columns(config)
         self.columns = series_columns(config)
 
     def dt_to(self, t: float) -> float:
@@ -632,8 +608,8 @@ class Recorder:
         # the first record (an empty last row, dt 0) seeds the sups with the
         # initial value and the integrals at 0
         last, dt = self.series.last(), self.dt_to(t)
-        for key, tag, r in self.acc_columns:
-            row[key] = accumulate(last.get(key), last.get(tag), row[tag], r, dt)
+        for norm, _q, _p, acc, r in self.config.columns:
+            row[acc] = accumulate(last.get(acc), last.get(norm), row[norm], r, dt)
         self.series.record(t, {col: row[col] for col in self.columns})
 
 

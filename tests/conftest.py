@@ -10,7 +10,7 @@ from hypothesis import configuration as hypothesis_configuration
 
 from torusmhd import io as tio
 from torusmhd.field import SpectralField
-from torusmhd.grid import make_grid
+from torusmhd.grid import Grid, make_grid
 
 # hypothesis keeps its files under .hypothesis/ in the working directory
 # unless told otherwise, even for derandomized tests; a throwaway home,
@@ -33,6 +33,20 @@ def grid3():
 @pytest.fixture(scope="session")
 def grid4():
     return make_grid(4, 12)
+
+
+@pytest.fixture
+def sample_calls(monkeypatch):
+    """(components, grid modes) of every Grid.sample call the test makes, in order."""
+    calls = []
+    sample = Grid.sample
+
+    def counting(self, coeffs, m_eval=None, rows=None):
+        calls.append((coeffs.shape[0], m_eval or self.eval_modes))
+        return sample(self, coeffs, m_eval, rows)
+
+    monkeypatch.setattr(Grid, "sample", counting)
+    return calls
 
 
 @pytest.fixture

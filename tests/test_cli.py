@@ -156,6 +156,23 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert "must be" in capsys.readouterr().err
 
 
+def test_free_axes_below_dim_4_exits_2(tmp_path, capsys):
+    # the two-axis split exists only in dim 4: a lower dim keeps the default
+    bad = tmp_path / "bad.json"
+    for doc in (
+        {"dim": 2, "modes_per_axis": 8, "free_axes": [7, 7]},
+        {"dim": 3, "modes_per_axis": 8, "free_axes": [1, 2]},
+    ):
+        with pytest.raises(tio.ConfigError, match=f"free_axes.*dim {doc['dim']}"):
+            tio.config_from_dict(doc)
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "free_axes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    doc = {"dim": 3, "modes_per_axis": 8, "free_axes": [3, 4]}
+    assert tio.config_from_dict(doc).free_axes == (3, 4)
+
+
 def test_missing_config_exits_4(tmp_path, capsys):
     code = cli.main(
         ["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]

@@ -7,9 +7,11 @@ import pytest
 
 from torusmhd import dynamics
 from torusmhd.criteria import (
+    PRESSURE_TAGS,
     CriterionSpec,
     Theorem,
     admissible,
+    bootstrap_columns,
     bootstrap_trigger,
     gronwall_rhs,
     monitored_field,
@@ -150,12 +152,18 @@ def test_spec_requires_exactly_the_monitored_components():
 def test_spec_labels_and_keys():
     spec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
     assert spec.label == "T1_1"
-    assert spec.norm_tag("u3") == "L8_u3"
-    assert spec.accumulator_key("u4") == "acc_T1_1_u4"
-    assert not spec.needs_pressure
-    pspec = CriterionSpec(Theorem.T1_5, pairs=(("dpi3", (2, 4)), ("dpi4", (2, 4))))
-    assert pspec.norm_tag("dpi3") == "L2_dpi3"
-    assert pspec.needs_pressure
+    assert spec.columns == (
+        ("L8_u3", "u3", 8.0, "acc_T1_1_u3", 16.0),
+        ("L8_u4", "u4", 8.0, "acc_T1_1_u4", 16.0),
+    )
+    pspec = CriterionSpec(Theorem.T1_5, pairs=(("dpi3", (2.5, 4)), ("dpi4", (4, 2))))
+    norms = [(norm, q) for norm, q, *_ in pspec.columns]
+    assert norms == [("L2.5_dpi3", "dpi3"), ("L4_dpi4", "dpi4")]
+    assert {q for _n, q in norms} <= PRESSURE_TAGS
+    assert bootstrap_columns(3) == (
+        ("gradu_LN", "grad_u", 3, "acc_bootstrap_gradu_LN", 2.0),
+        ("gradb_LN", "grad_b", 3, "acc_bootstrap_gradb_LN", 2.0),
+    )
 
 
 # ----------------------------------------------------------- monitored_field
@@ -236,6 +244,19 @@ def test_monitored_norms_match_batched_reference(grid_name, request):
         for p in exponents:
             want = mag.max() if p == INF else g.quadrature(mag**p) ** (1.0 / p)
             assert got[t, p] == pytest.approx(want, rel=1e-14, abs=0.0), (t, p)
+
+
+def test_monitored_norms_zero_field_is_zero_unsampled(grid4, sample_calls):
+    u = synth_random_divfree(grid4, 4, seed=3)
+    zero = SpectralField.zeros(grid4, 4)
+    exponents = (2.0, 3.0, INF)
+    got = monitored_norms({"u3": (2.0,), "b": exponents, "grad_b": exponents}, u, zero)
+    assert {k: v for k, v in got.items() if k[0] != "u3"} == {
+        (t, p): 0.0 for t in ("b", "grad_b") for p in exponents
+    }
+    # only u3's one part is sampled
+    assert sample_calls == [(1, grid4.eval_modes)]
+    assert got["u3", 2.0] == pytest.approx(lp_norm(monitored_field("u3", u, None), 2), rel=1e-14)
 
 
 # ------------------------------------------------------------------ monitor

@@ -9,7 +9,6 @@ from torusmhd.dynamics import (
     InitialCondition,
     MhdState,
     SimConfig,
-    accumulator_columns,
     advective_dt_bound,
     compute_record,
     dissipation_rate,
@@ -556,12 +555,11 @@ def test_simulate_criteria_columns_4d():
         "L8_u3", "acc_T1_1_u3", "L8_u4", "acc_T1_1_u4",
         "gradu_LN", "acc_bootstrap_gradu_LN", "gradb_LN", "acc_bootstrap_gradb_LN",
     ]
-    cols = accumulator_columns(cfg)
-    assert cols == (
-        ("acc_T1_1_u3", "L8_u3", 16.0),
-        ("acc_T1_1_u4", "L8_u4", 16.0),
-        ("acc_bootstrap_gradu_LN", "gradu_LN", 2.0),
-        ("acc_bootstrap_gradb_LN", "gradb_LN", 2.0),
+    assert cfg.columns == (
+        ("L8_u3", "u3", 8.0, "acc_T1_1_u3", 16.0),
+        ("L8_u4", "u4", 8.0, "acc_T1_1_u4", 16.0),
+        ("gradu_LN", "grad_u", 4, "acc_bootstrap_gradu_LN", 2.0),
+        ("gradb_LN", "grad_b", 4, "acc_bootstrap_gradb_LN", 2.0),
     )
 
 
@@ -586,7 +584,7 @@ def test_compute_record_serves_a_shared_exponent_once():
     assert row["L4_grad_u"] == pytest.approx(lp_norm(gradient(u), 4), rel=1e-14)
 
 
-def test_compute_record_samples_each_part_once(monkeypatch):
+def test_compute_record_samples_each_part_once(sample_calls):
     g = make_grid(4, 8)
     u, b = mhd_pair(g, 6)
     cfg = SimConfig(
@@ -598,23 +596,32 @@ def test_compute_record_samples_each_part_once(monkeypatch):
         ),
         monitor_bootstrap=True,
     )
-    calls = []
-    sample = Grid.sample
-
-    def counting(self, coeffs, m_eval=None, rows=None):
-        calls.append((coeffs.shape[0], m_eval or self.eval_modes))
-        return sample(self, coeffs, m_eval, rows)
-
-    monkeypatch.setattr(Grid, "sample", counting)
     compute_record(u, b, cfg)
     # L^p samples live on the evaluation grid; the pressure solve samples
     # u and b together, once, on the product grid
-    lp_calls = [lead for lead, m in calls if m == g.eval_modes]
+    lp_calls = [lead for lead, m in sample_calls if m == g.eval_modes]
     assert set(lp_calls) == {1}
     # 16 derivatives of u (grad_u3, grad_u4, gradu_LN), 16 of b (grad_b,
     # gradb_LN) and the two pressure partials
     assert len(lp_calls) == 16 + 16 + 2
-    assert [c for c in calls if c[1] != g.eval_modes] == [(8, 8)]
+    assert [c for c in sample_calls if c[1] != g.eval_modes] == [(8, 8)]
+
+
+def test_compute_record_samples_no_part_of_a_zero_b(sample_calls):
+    g = make_grid(4, 8)
+    u = synth_random_divfree(g, 4, seed=6)
+    cfg = SimConfig(
+        dim=4,
+        modes_per_axis=8,
+        criteria=(CriterionSpec(Theorem.T1_4, smallness=True),),
+        monitor_bootstrap=True,
+    )
+    row = compute_record(u, SpectralField.zeros(g, 4), cfg)
+    # the 16 derivatives of u serve grad_u3, grad_u4 and gradu_LN; b's 16
+    # would serve grad_b and gradb_LN, but a zero b is not sampled
+    assert sample_calls == [(1, g.eval_modes)] * 16
+    assert row["L2.4_grad_b"] == 0.0 and row["gradb_LN"] == 0.0
+    assert row["gradu_LN"] > 0.0
 
 
 def test_simulate_flags_divergence():

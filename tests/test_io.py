@@ -15,11 +15,15 @@ from torusmhd.criteria import (
     CriterionSpec,
     Theorem,
     admissible,
+    bootstrap_columns,
 )
-from torusmhd.dynamics import InitialCondition, MhdState, SimConfig, simulate, step_ifrk4
+from torusmhd.dynamics import (
+    InitialCondition, MhdState, SimConfig, series_columns, simulate, step_ifrk4
+)
 from torusmhd.field import synth_random_divfree, synth_random_field
 from torusmhd.grid import Grid, make_grid
 from torusmhd import io as tio
+from torusmhd.norms import NormSeries
 
 from conftest import save_config, write_raw_snapshot
 
@@ -424,6 +428,28 @@ def sim_configs(draw):
 @given(cfg=sim_configs())
 def test_config_document_roundtrip_property(cfg):
     assert tio.config_from_dict(json.loads(json.dumps(tio.config_to_dict(cfg)))) == cfg
+
+
+@settings(derandomize=True, deadline=None)
+@given(cfg=sim_configs())
+def test_series_columns_follow_the_record_plan_property(cfg):
+    # the table's columns are read off cfg.columns, and nothing else
+    plan = cfg.columns
+    head = ["energy", "dissipation_integral", "defect"] + ["W", "X", "Y", "Z"] * (cfg.dim == 4)
+    cols = series_columns(cfg)
+    assert cols == tuple(dict.fromkeys(head + [c for n, _q, _p, a, _r in plan for c in (n, a)]))
+    accs = [acc for _n, _q, _p, acc, _r in plan]
+    assert len(set(accs)) == len(accs)
+    for norm, _q, _p, acc, _r in plan:
+        assert cols.count(acc) == 1 and cols.index(norm) < cols.index(acc)
+    if cfg.monitor_bootstrap:
+        boot = bootstrap_columns(cfg.dim)
+        assert plan[-2:] == boot
+        assert cols[-4:] == tuple(c for n, _q, _p, a, _r in boot for c in (n, a))
+    series = NormSeries()
+    series.record(0.0, dict.fromkeys(cols, 0.0))
+    for spec in cfg.criteria:
+        assert list(spec.accumulated(series)) == [acc for _n, _q, _p, acc, _r in spec.columns]
 
 
 def test_classical_pairs_follow_the_run_dimension():
