@@ -189,6 +189,14 @@ def test_verify_scaling_suite_passes(capsys):
     assert "result: pass" in text
 
 
+def test_verify_identities_suite_passes(capsys):
+    # the suite the verify_identities benchmark workload runs, at its --n 1
+    code = cli.main(["verify", "--suite", "identities", "--n", "1"])
+    text = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert "suite identities: PASS" in text
+
+
 def test_verify_rejects_empty_ensemble(capsys):
     assert cli.main(["verify", "--suite", "scaling", "--n", "0"]) == 2
     capsys.readouterr()

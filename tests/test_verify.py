@@ -22,12 +22,15 @@ from torusmhd.verify import (
     check_scaling,
     check_troisi,
     collect_lp_balance,
+    commutator_ensemble,
     commutator_leibniz_report,
     dissipative_analytic_quartic,
     dissipative_ensemble,
     elementary_report,
+    nonlinear_split_ensemble,
     prop31_aliased_control,
     prop31_divfree_control,
+    prop31_ensemble,
     refinement_drift,
     run_suite,
     scaling_report,
@@ -219,6 +222,63 @@ def test_prop31_negative_controls():
     assert aliased.samples[0] == pytest.approx(0.02632904099048316, rel=1e-12)
 
 
+def test_prop31_pinned_on_grid4(grid4, sample_calls):
+    # the bound ratios and control residuals of fixed fields, and the
+    # components each report hands to Grid.sample, summed
+    u = synth_random_divfree(grid4, 4, seed=1)
+    b = synth_random_divfree(grid4, 4, seed=2, amplitude=0.7)
+    ratios = {
+        ("bound_20", True): 0.0005888636648100374,
+        ("bound_20", False): 0.0027644232749479197,
+        ("bound_21", True): 0.0018789672486843629,
+        ("bound_21", False): 0.0037301084749236145,
+    }
+    for (mode, with_b), want in ratios.items():
+        rep = check_prop31(u, b if with_b else None, mode)
+        assert rep.samples[0] == pytest.approx(want, rel=1e-12), (mode, with_b)
+    assert check_prop31(u, None, "identity_30_line1").samples == (0.0,)
+
+    def components(run):
+        sample_calls.clear()
+        run()
+        return sum(lead for lead, _m in sample_calls)
+
+    counts = {
+        "identity_22": components(lambda: check_prop31(u, b, "identity_22")),
+        "identity_22_no_b": components(lambda: check_prop31(u, None, "identity_22")),
+        "identity_30_line1": components(lambda: check_prop31(u, b, "identity_30_line1")),
+        "identity_30_line1_no_b": components(lambda: check_prop31(u, None, "identity_30_line1")),
+        "nonlinear_split": components(lambda: check_nonlinear_split(u)),
+        "bound_20": components(lambda: check_prop31(u, b, "bound_20")),
+        "bound_21": components(lambda: check_prop31(u, b, "bound_21")),
+    }
+    controls = {}
+    counts["divfree_control"] = components(
+        lambda: controls.update(divfree=prop31_divfree_control(1, 42, 12).samples[0])
+    )
+    counts["aliased_control"] = components(
+        lambda: controls.update(aliased=prop31_aliased_control(42, 12).samples[0])
+    )
+    assert controls["divfree"] == pytest.approx(0.38128538329616585, rel=1e-12)
+    assert controls["aliased"] == pytest.approx(0.02632904099048115, rel=1e-12)
+    # values of u and b, 16 first derivatives each, and each second
+    # derivative at most once: identity 22 samples b's derivatives for the
+    # gauge only, a zero b is not sampled, and bound 20 reads the plane
+    # Laplacians from its Hessians, whose entries d_0 d_1 = d_1 d_0 it
+    # samples once (7 axis pairs of 4 components per field)
+    assert counts == {
+        "identity_22": 4 + 16 + 4 + 4 + 16,
+        "identity_22_no_b": 4 + 16 + 4 + 4,
+        "identity_30_line1": 2 * (4 + 16 + 4),
+        "identity_30_line1_no_b": 16,
+        "nonlinear_split": 4 + 16 + 4,
+        "bound_20": 2 * (4 + 16 + 28),
+        "bound_21": 2 * (4 + 16 + 4),
+        "divfree_control": 4 + 16 + 4 + 4,
+        "aliased_control": 4 + 16 + 4 + 4,
+    }
+
+
 def test_nonlinear_split_identity(grid4):
     u = synth_random_divfree(grid4, 4, seed=4)
     rep = check_nonlinear_split(u)
@@ -330,6 +390,11 @@ def test_lp_balance_check_logic():
     assert good.max < 1e-12
     undominated = check_lp_pressure_balance(synthetic_balance(0.5))
     assert not undominated.passed
+    # each undominated record is an inf sample against the usual threshold,
+    # its residual kept in the details
+    assert undominated.threshold == 1e-4 and undominated.max == math.inf
+    assert "max: inf" in undominated.summary()
+    assert all(d["residual"] < 1e-12 and not d["dominated"] for d in undominated.details)
     with pytest.raises(ValueError, match="three records"):
         check_lp_pressure_balance(
             LpBalanceData(2, 4.0, 2.0, 0.2, (0.0, 0.1), (1.0, 1.0), (0.0,) * 2, (0.0,) * 2, (0.0,) * 2)
@@ -369,6 +434,17 @@ def test_lp_balance_holds_along_a_short_run():
 
 
 # ------------------------------------------------------------------- suites
+
+
+def test_ensembles_refuse_an_empty_ensemble():
+    for pooled in (
+        lambda: prop31_ensemble("bound_20", 0),
+        lambda: nonlinear_split_ensemble(0),
+        lambda: commutator_ensemble(0),
+        lambda: dissipative_ensemble(2.0, 0),
+    ):
+        with pytest.raises(ValueError, match="ensemble size"):
+            pooled()
 
 
 def test_suite_dispatch():
