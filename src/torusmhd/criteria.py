@@ -76,7 +76,6 @@ _PARTS = {
     "grad_u4": ("u", "*", "4"), "grad_b": ("b", "*", "*"),
     "dpi3": ("pi", "3", 0), "dpi4": ("pi", "4", 0), "grad_pi": ("pi", "*", 0),
 }
-_SOURCES = {"b": "a magnetic field", "pi": "the pressure"}
 # the quantities sampled from the pressure: a record needs it for one of these
 PRESSURE_TAGS = frozenset(t for t, (f, _a, _c) in _PARTS.items() if f == "pi")
 # the quantities that need the two-component split of dim 4
@@ -212,8 +211,8 @@ def _parts(tag: str, fields: dict, free_axes: tuple[int, int]) -> tuple[tuple, .
     if tag not in _PARTS:
         raise ValueError(f"unknown monitored quantity '{tag}'")
     name, axis, comp = _PARTS[tag]
-    if fields[name] is None:
-        raise ValueError(f"monitored quantity '{tag}' requires {_SOURCES[name]}")
+    if fields[name] is None:  # only the pressure is optional
+        raise ValueError(f"monitored quantity '{tag}' requires the pressure")
     dim = fields[name].grid.dim
     pick = {None: (None,), 0: (0,), "*": range(dim), "3": free_axes[:1], "4": free_axes[1:]}
     if any(not 0 <= a < dim for k in {axis, comp} & {"3", "4"} for a in pick[k]):
@@ -224,7 +223,7 @@ def _parts(tag: str, fields: dict, free_axes: tuple[int, int]) -> tuple[tuple, .
 def monitored_field(
     tag: str,
     u: SpectralField,
-    b: SpectralField | None,
+    b: SpectralField,
     pi: SpectralField | None = None,
     free_axes: tuple[int, int] = (2, 3),
 ) -> SpectralField:
@@ -244,7 +243,7 @@ def monitored_field(
 def monitored_norms(
     request: Mapping[str, Sequence[float]],
     u: SpectralField,
-    b: SpectralField | None,
+    b: SpectralField,
     pi: SpectralField | None = None,
     free_axes: tuple[int, int] = (2, 3),
 ) -> dict[tuple[str, float], float]:
@@ -297,7 +296,7 @@ def _gradient_exponents(p: float) -> tuple[float, float, float]:
 
 def gronwall_rhs(
     u: SpectralField,
-    b: SpectralField | None,
+    b: SpectralField,
     spec: CriterionSpec,
     free_axes: tuple[int, int] = (2, 3),
 ) -> dict[str, float]:

@@ -254,17 +254,17 @@ def _mode_power(coeffs: np.ndarray) -> np.ndarray:
 # -- public operators ---------------------------------------------------------
 
 
-def pressure_solve(u: SpectralField, b: SpectralField | None = None) -> SpectralField:
+def pressure_solve(u: SpectralField, b: SpectralField) -> SpectralField:
     """Mean-zero pressure balancing the momentum nonlinearity.
 
     Solves Delta pi = -d_i d_j (u_i u_j - b_i b_j) per mode from exactly
     dealiased products, returning the band-limited scalar field.  A zero b
-    is no b: it is not sampled.
+    is not sampled.
     """
     g = u.grid
     if u.components != g.dim:
         raise ValueError("pressure_solve needs one velocity component per axis")
-    bc = b.coeffs if b is not None and np.any(b.coeffs) else None
+    bc = b.coeffs if np.any(b.coeffs) else None
     us, bs = _product_samples(g, u.coeffs, bc)
     pi_hat = np.zeros(g.shape, dtype=complex)
     for _kind, i, j, s in _products(g, us, bs, induction=False):

@@ -138,24 +138,18 @@ def l2_norm(field: SpectralField) -> float:
     return math.sqrt(field.grid.parseval_sum(np.abs(field.coeffs) ** 2))
 
 
-def energy(u: SpectralField, b: SpectralField | None = None) -> float:
-    """Squared L2 norm of the state: ||u||^2 (+ ||b||^2 when present)."""
-    e = l2_norm(u) ** 2
-    if b is not None:
-        e += l2_norm(b) ** 2
-    return e
+def energy(u: SpectralField, b: SpectralField) -> float:
+    """Squared L2 norm of the state: ||u||^2 + ||b||^2 (a zero b adds 0.0)."""
+    return l2_norm(u) ** 2 + l2_norm(b) ** 2
 
 
-def wxyz(
-    u: SpectralField,
-    b: SpectralField | None = None,
-    plane: tuple[int, int] = (0, 1),
-) -> WXYZ:
+def wxyz(u: SpectralField, b: SpectralField, plane: tuple[int, int] = (0, 1)) -> WXYZ:
     """The four anisotropic dissipation functionals of a (u, b) state.
 
     W restricts the gradient to the two ``plane`` axes, X is the full
     gradient energy, Y crosses the plane gradient with the full one, Z is
-    the Laplacian energy.  All are squared norms summed over u and b.
+    the Laplacian energy.  All are squared norms summed over u and b; a zero b
+    adds 0.0.
     """
     g = u.grid
     if g.dim != 4:
@@ -164,9 +158,8 @@ def wxyz(
         raise ValueError(f"plane must be two distinct axes in 0..3, got {plane}")
     k2_plane = sum(g.wave_axes[a] ** 2 for a in plane)
     k2 = g.k_squared
-    fields = [u] if b is None else [u, b]
     vals = [0.0, 0.0, 0.0, 0.0]
-    for f in fields:
+    for f in (u, b):
         power = np.abs(f.coeffs) ** 2
         for i, weight in enumerate((k2_plane, k2, k2_plane * k2, k2 * k2)):
             vals[i] += g.parseval_sum(weight * power)
@@ -221,12 +214,14 @@ def accumulate(
 
     The first record (``acc`` None) seeds an integral at 0 and a sup at the
     value; a zero-width interval adds nothing, and a finite record whose r-th
-    power passes the float range makes the integral inf.
+    power passes the float range makes the integral inf.  A NaN record stays
+    NaN in the sup as in the integral.
     """
     if not (r > 0):
         raise ValueError(f"exponent r must be positive or inf, got {r}")
     if r == math.inf:
-        return value if acc is None else max(acc, value)
+        # max keeps a NaN acc; a NaN value wins too, as in np.maximum
+        return value if acc is None or math.isnan(value) else max(acc, value)
     if acc is None:
         return 0.0
     if dt == 0:

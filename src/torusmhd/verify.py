@@ -50,7 +50,6 @@ __all__ = [
     "elementary_report",
     "check_troisi",
     "windowed_field",
-    "windowed_ensemble",
     "troisi_dilation_identity",
     "check_commutator",
     "commutator_ensemble",
@@ -247,19 +246,9 @@ def windowed_field(grid: Grid, seed: int) -> SpectralField:
     return SpectralField.from_samples(grid, vals[None])
 
 
-def windowed_ensemble(grid: Grid, seed: int = 0) -> Callable[[int], SpectralField]:
-    """Field generator for :func:`check_troisi`: index -> windowed scalar."""
-
-    def make(index: int) -> SpectralField:
-        return windowed_field(grid, seed + index)
-
-    return make
-
-
-def check_troisi(
-    ensemble: Callable[[int], SpectralField], n: int
-) -> VerificationReport:
-    """Anisotropic L^4 inequality: ratio of ||f||_4 to prod_i ||d_i f||^{1/4}.
+def check_troisi(grid: Grid, n: int, seed: int) -> VerificationReport:
+    """Anisotropic L^4 inequality: ratio of ||f||_4 to prod_i ||d_i f||^{1/4}
+    over the windowed scalars ``windowed_field(grid, seed + i)``, i < n.
 
     Degenerate samples (any directional derivative essentially zero) are
     excluded and counted.  The reported max is the empirical constant.
@@ -270,16 +259,13 @@ def check_troisi(
     details: list[dict] = []
     excluded = 0
     for i in range(n):
-        f = ensemble(i)
-        g = f.grid
-        if f.components != 1:
-            raise ValueError("check_troisi expects scalar fields")
-        dnorms = [l2_norm(partial_derivative(f, a)) for a in range(g.dim)]
+        f = windowed_field(grid, seed + i)
+        dnorms = [l2_norm(partial_derivative(f, a)) for a in range(grid.dim)]
         top = max(dnorms)
         if top == 0.0 or min(dnorms) <= 1e-13 * top:
             excluded += 1
             continue
-        l4 = lp_norm(f, 4, m_eval=g.alias_free_modes(4, 0))
+        l4 = lp_norm(f, 4, m_eval=grid.alias_free_modes(4, 0))
         denom = 1.0
         for d in dnorms:
             denom *= d**0.25
@@ -636,7 +622,7 @@ def _bound_values(w: _PlaneWorkspace, which: str) -> tuple[float, float]:
     return w.pairing("u", "u", "u") + w.mixed(w.pairing), rhs
 
 
-def check_prop31(u: SpectralField, b: SpectralField | None, mode: str) -> VerificationReport:
+def check_prop31(u: SpectralField, b: SpectralField, mode: str) -> VerificationReport:
     """Exact decomposition of the in-plane Laplacian convection pairing.
 
     ``identity_22`` checks the integrated-by-parts cubic expansion together
@@ -644,7 +630,7 @@ def check_prop31(u: SpectralField, b: SpectralField | None, mode: str) -> Verifi
     ``identity_30_line1`` the analogous expansion of the three mixed
     velocity/magnetic terms; ``bound_20`` and ``bound_21`` evaluate both
     sides of the two final estimates and report the magnitude ratio
-    |LHS|/RHS (their constants are empirical).  A b of None is a zero b.
+    |LHS|/RHS (their constants are empirical).
 
     The identities are cubic and exact on ``alias_free_modes(3, 0)``; the
     bounds' majorants are not polynomials and keep ``eval_modes``.  Both
@@ -656,7 +642,6 @@ def check_prop31(u: SpectralField, b: SpectralField | None, mode: str) -> Verifi
     g = u.grid
     if g.dim != 4:
         raise ValueError("the decomposition is specific to dimension 4")
-    b = SpectralField.zeros(g, 4) if b is None else b
     if u.components != 4 or b.components != 4:
         raise ValueError("u and b must have four components")
     check_divfree(u, "u")
@@ -865,9 +850,7 @@ def dissipative_analytic_quartic() -> VerificationReport:
 # -- scaling laws -------------------------------------------------------------
 
 
-def check_scaling(
-    u: SpectralField, b: SpectralField | None, lam: int
-) -> VerificationReport:
+def check_scaling(u: SpectralField, b: SpectralField, lam: int) -> VerificationReport:
     """Dilation symmetry: the L^2 law and the equivariance of the full RHS.
 
     ``rescale_field`` realises f -> lam f(lam x) on the torus of side L/lam,
@@ -875,13 +858,11 @@ def check_scaling(
     plus diffusion right-hand side picks up lam^3 in function values, i.e.
     equals lam^2 times the rescale of the original RHS.
     """
-    g = u.grid
-    n = g.dim
-    b0 = b if b is not None else SpectralField.zeros(g, n)
-    state = MhdState(u, b0, 0.0, 1.0, 1.0)
-    e0 = energy(u, b0)
+    n = u.grid.dim
+    state = MhdState(u, b, 0.0, 1.0, 1.0)
+    e0 = energy(u, b)
     ul = rescale_field(u, lam)
-    bl = rescale_field(b0, lam)
+    bl = rescale_field(b, lam)
     el = energy(ul, bl)
     norm_res = _rel(el, float(lam) ** (2 - n) * e0)
 
@@ -1003,7 +984,7 @@ def collect_lp_balance(
     cfg = dataclasses.replace(config, snapshot_every=config.record_every)
 
     def sink(n: int, state: MhdState) -> None:
-        pi = pressure_solve(state.u)
+        pi = pressure_solve(state.u, state.b)
         times.append(state.time)
         series.append(_balance_terms(state.u, pi, component, p, q, config.nu))
 
@@ -1094,8 +1075,8 @@ def run_suite(suite: str, seed: int = 42, n: int = 20) -> list[VerificationRepor
     if suite in ("inequalities", "all"):
         grid = make_grid(4, 16)
         fine = make_grid(4, 32)
-        base = check_troisi(windowed_ensemble(grid, seed), n)
-        refined = check_troisi(windowed_ensemble(fine, seed), n)
+        base = check_troisi(grid, n, seed)
+        refined = check_troisi(fine, n, seed)
         reports.append(base)
         reports.append(_drift_report("troisi_l4_refinement_drift", base, refined))
         cbase = commutator_ensemble(min(n, 25), seed)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from torusmhd import dynamics
 from torusmhd.criteria import (
@@ -116,6 +117,64 @@ def test_admissible_rejects_exponents_below_one():
         admissible(Theorem.T1_5, -1, 4)
 
 
+# each region in cross-multiplied integer form, at p = P/D and r = R/D
+
+
+def _velocity_region(P, R, D):  # T1.1, T1.3: p > 6 and r(p - 6) >= 4p
+    return P > 6 * D and R * (P - 6 * D) >= 4 * P * D
+
+
+def _gradient_region(P, R, D):  # T1.2, T1.4
+    if 5 * P > 12 * D and P <= 4 * D:  # 12/5 < p <= 4: 12r + 8p <= 5pr
+        return 12 * R * D + 8 * P * D <= 5 * P * R
+    return P > 4 * D and 2 * R * D + 2 * P * D <= P * R  # p > 4: 2r + 2p <= pr
+
+
+def _pressure_region(P, R, D):  # T1.5: 12/7 < p < 6 and 12r + 6p < 8pr
+    return 7 * P > 12 * D and P < 6 * D and 12 * R * D + 6 * P * D < 8 * P * R
+
+
+# (region, p anchors: the straight edges and points along the curved one,
+# 1/r on the curved edge as a function of p)
+_REGIONS = {
+    Theorem.T1_1: (_velocity_region, (6, 7, 8, 10, 14), lambda p: Fraction(1, 4) - 3 / (2 * p)),
+    Theorem.T1_2: (
+        _gradient_region,
+        (Fraction(12, 5), 3, 4, 6, 8),
+        lambda p: Fraction(5, 8) - 3 / (2 * p) if p <= 4 else Fraction(1, 2) - 1 / p,
+    ),
+    Theorem.T1_5: (_pressure_region, (Fraction(12, 7), 2, 3, 4, 6), lambda p: Fraction(4, 3) - 2 / p),
+}
+_REGIONS[Theorem.T1_3] = _REGIONS[Theorem.T1_1]
+_REGIONS[Theorem.T1_4] = _REGIONS[Theorem.T1_2]
+
+
+@st.composite
+def _near_an_edge(draw):
+    """(theorem, P, R, D): p = P/D and r = R/D on or a few 1/D next to an edge,
+    with D = 2^k, so both are exact floats."""
+    theorem = draw(st.sampled_from(sorted(_REGIONS, key=lambda t: t.value)))
+    _region, anchors, inv_r = _REGIONS[theorem]
+    d = 2 ** draw(st.integers(2, 10))
+    p = max(round(draw(st.sampled_from(anchors)) * d) + draw(st.integers(-4, 4)), d)
+    inv = inv_r(Fraction(p, d))
+    r_edge = round(d / inv) if inv > 0 else draw(st.integers(d, 64 * d))
+    return theorem, p, max(r_edge + draw(st.integers(-4, 4)), d), d
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_near_an_edge())
+@example((Theorem.T1_1, 8, 16, 1))
+@example((Theorem.T1_2, 4, 4, 1))
+@example((Theorem.T1_4, 6, 3, 1))
+@example((Theorem.T1_5, 2, 3, 1))
+@example((Theorem.T1_5, 6, 100, 1))
+def test_admissible_on_region_edges(case):
+    theorem, P, R, D = case
+    region = _REGIONS[theorem][0]
+    assert admissible(theorem, P / D, R / D) == region(P, R, D), (theorem, P / D, R / D)
+
+
 def test_p_label():
     assert p_label(6) == "6"
     assert p_label(2.5) == "2.5"
@@ -208,22 +267,24 @@ def test_monitored_field_resolution(grid4, rng):
 
 def test_monitored_field_errors(grid4):
     u = synth_random_divfree(grid4, 4, seed=3)
-    with pytest.raises(ValueError, match="'b'"):
-        monitored_field("b", u, None)
+    zero = SpectralField.zeros(grid4, 4)
+    # no magnetic field is a zero b, whose quantities are zero fields
+    assert not np.any(monitored_field("b", u, zero).coeffs)
     with pytest.raises(ValueError, match="pressure"):
-        monitored_field("dpi3", u, None, None)
+        monitored_field("dpi3", u, zero, None)
     with pytest.raises(ValueError, match="unknown"):
-        monitored_field("vorticity", u, None)
+        monitored_field("vorticity", u, zero)
 
 
 def test_free_axes_must_fit_the_dimension(grid3):
     u = synth_random_divfree(grid3, 3, seed=3)
-    assert monitored_field("u3", u, None).components == 1
+    zero = SpectralField.zeros(grid3, 3)
+    assert monitored_field("u3", u, zero).components == 1
     for tag in ("u4", "grad_u4"):
         with pytest.raises(ValueError, match=f"'{tag}'.*dimension 3"):
-            monitored_field(tag, u, None)
+            monitored_field(tag, u, zero)
     with pytest.raises(ValueError, match="'u4'.*dimension 3"):
-        monitored_norms({"u4": (2.0,)}, u, None)
+        monitored_norms({"u4": (2.0,)}, u, zero)
 
 
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3", "grid4"])
@@ -256,7 +317,7 @@ def test_monitored_norms_zero_field_is_zero_unsampled(grid4, sample_calls):
     }
     # only u3's one part is sampled
     assert sample_calls == [(1, grid4.eval_modes)]
-    assert got["u3", 2.0] == pytest.approx(lp_norm(monitored_field("u3", u, None), 2), rel=1e-14)
+    assert got["u3", 2.0] == pytest.approx(lp_norm(monitored_field("u3", u, zero), 2), rel=1e-14)
 
 
 # ------------------------------------------------------------------ monitor
@@ -381,9 +442,10 @@ def test_gronwall_rhs_velocity_family(grid4):
 
 def test_gronwall_rhs_velocity_endpoint(grid4):
     u = synth_random_divfree(grid4, 4, seed=13)
+    zero = SpectralField.zeros(grid4, 4)
     spec = CriterionSpec(Theorem.T1_1, smallness=True)
-    out = gronwall_rhs(u, None, spec)
-    vals = wxyz(u, plane=(0, 1))
+    out = gronwall_rhs(u, zero, spec)
+    vals = wxyz(u, zero, plane=(0, 1))
     n3 = lp_norm(u.component(2), 6.0)
     # the pinned endpoint keeps its finite-p exponents (3, 1/2, 1/2)
     want = n3**3 * math.sqrt(vals.X * vals.Z)
@@ -392,12 +454,13 @@ def test_gronwall_rhs_velocity_endpoint(grid4):
 
 def test_gronwall_rhs_gradient_family(grid4):
     u = synth_random_divfree(grid4, 4, seed=14)
-    vals = wxyz(u, plane=(0, 1))
+    zero = SpectralField.zeros(grid4, 4)
+    vals = wxyz(u, zero, plane=(0, 1))
 
     spec4 = CriterionSpec(Theorem.T1_2, pairs=(
         ("grad_u3", (4, 4)), ("grad_u4", (4, 4)),
     ))
-    out4 = gronwall_rhs(u, None, spec4)
+    out4 = gronwall_rhs(u, zero, spec4)
     n = lp_norm(gradient(u.component(2)), 4)
     # p = 4 sits on the branch seam: exponents (2, 1, 0) from either side
     assert out4["rhs_T1_2_grad_u3"] == pytest.approx(n**2 * vals.X, rel=1e-12)
@@ -405,7 +468,7 @@ def test_gronwall_rhs_gradient_family(grid4):
     spec3 = CriterionSpec(Theorem.T1_2, pairs=(
         ("grad_u3", (3, 12)), ("grad_u4", (3, 12)),
     ))
-    out3 = gronwall_rhs(u, None, spec3)
+    out3 = gronwall_rhs(u, zero, spec3)
     n = lp_norm(gradient(u.component(2)), 3)
     want = n ** (12 / 5) * vals.X ** (4 / 5) * vals.Z ** (1 / 5)
     assert out3["rhs_T1_2_grad_u3"] == pytest.approx(want, rel=1e-12)
@@ -413,16 +476,17 @@ def test_gronwall_rhs_gradient_family(grid4):
     spec6 = CriterionSpec(Theorem.T1_2, pairs=(
         ("grad_u3", (6, 3)), ("grad_u4", (6, 3)),
     ))
-    out6 = gronwall_rhs(u, None, spec6)
+    out6 = gronwall_rhs(u, zero, spec6)
     n = lp_norm(gradient(u.component(2)), 6)
     assert out6["rhs_T1_2_grad_u3"] == pytest.approx(n**1.5 * vals.X, rel=1e-12)
 
 
 def test_gronwall_rhs_respects_free_axes(grid4):
     u = synth_random_divfree(grid4, 4, seed=15)
+    zero = SpectralField.zeros(grid4, 4)
     spec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
-    out = gronwall_rhs(u, None, spec, free_axes=(0, 1))
-    vals = wxyz(u, plane=(2, 3))
+    out = gronwall_rhs(u, zero, spec, free_axes=(0, 1))
+    vals = wxyz(u, zero, plane=(2, 3))
     n = lp_norm(u.component(0), 8)
     want = n ** (16 / 6) * vals.X ** (4 / 6) * vals.Z ** (2 / 6)
     assert out["rhs_T1_1_u3"] == pytest.approx(want, rel=1e-12)
@@ -430,13 +494,14 @@ def test_gronwall_rhs_respects_free_axes(grid4):
 
 def test_gronwall_rhs_rejections(grid2, grid4):
     u4 = synth_random_divfree(grid4, 4, seed=16)
+    zero4 = SpectralField.zeros(grid4, 4)
     pspec = CriterionSpec(Theorem.T1_5, pairs=(("dpi3", (2, 4)), ("dpi4", (2, 4))))
     with pytest.raises(ValueError, match="Gronwall"):
-        gronwall_rhs(u4, None, pspec)
+        gronwall_rhs(u4, zero4, pspec)
     cspec = CriterionSpec(Theorem.CLASSICAL_U, pairs=(("u", (8, 4)),))
     with pytest.raises(ValueError, match="Gronwall"):
-        gronwall_rhs(u4, None, cspec)
+        gronwall_rhs(u4, zero4, cspec)
     u2 = synth_random_divfree(grid2, 2, seed=17)
     vspec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
     with pytest.raises(ValueError, match="dim-4"):
-        gronwall_rhs(u2, None, vspec, free_axes=(0, 1))
+        gronwall_rhs(u2, SpectralField.zeros(grid2, 2), vspec, free_axes=(0, 1))

@@ -106,24 +106,25 @@ def test_l2_norm_parseval_equivalence(grid3):
 def test_energy_additivity(grid2):
     u = synth_random_field(grid2, 2, seed=9, amplitude=0.6)
     b = synth_random_field(grid2, 2, seed=10, amplitude=0.8)
-    assert energy(u) == pytest.approx(0.36, rel=1e-12)
+    assert energy(u, SpectralField.zeros(grid2, 2)) == pytest.approx(0.36, rel=1e-12)
     assert energy(u, b) == pytest.approx(0.36 + 0.64, rel=1e-12)
 
 
 def test_wxyz_pointwise_orderings(grid4):
     u = synth_random_field(grid4, 4, seed=12)
-    e = energy(u)
-    vals = wxyz(u, plane=(0, 1))
+    zero = SpectralField.zeros(grid4, 4)
+    e = l2_norm(u) ** 2
+    vals = wxyz(u, zero, plane=(0, 1))
     # plane gradient below full gradient, mixed weight below Laplacian,
     # and Cauchy-Schwarz between X and Z
     assert 0 < vals.W <= vals.X
     assert vals.Y <= vals.Z
     assert vals.X**2 <= e * vals.Z * (1 + 1e-12)
     with pytest.raises(ValueError):
-        wxyz(u, plane=(0, 0))
+        wxyz(u, zero, plane=(0, 0))
     u2 = synth_random_field(make_grid(2, 16), 2, seed=12)
     with pytest.raises(ValueError):
-        wxyz(u2)
+        wxyz(u2, SpectralField.zeros(u2.grid, 2))
 
 
 def test_wxyz_single_mode_closed_form():
@@ -135,8 +136,8 @@ def test_wxyz_single_mode_closed_form():
     c[2, 1, 0, 0, 0] = 0.5
     c[2, -1, 0, 0, 0] = 0.5
     u = tf.SpectralField(g, c)
-    e = energy(u)
-    vals = wxyz(u, plane=(0, 1))
+    e = l2_norm(u) ** 2
+    vals = wxyz(u, tf.SpectralField.zeros(g, 4), plane=(0, 1))
     assert vals.X == pytest.approx(e * 1.0, rel=1e-12)  # |k|^2 = 1
     assert vals.W == pytest.approx(e * 1.0, rel=1e-12)  # k lies in the plane
     assert vals.Z == pytest.approx(e * 1.0, rel=1e-12)
@@ -175,6 +176,19 @@ def test_accumulate_sup_mode():
     v = accumulate(v, 5.0, 3.0, math.inf, 1.0)
     assert v == 5.0  # sup keeps the earlier maximum
     assert accumulate(v, 3.0, 9.0, math.inf, 1.0) == 9.0
+
+
+def test_accumulate_sup_keeps_a_nan_record():
+    # a NaN after a finite row turns the sup NaN, as it does an integral,
+    # and a finite row after it leaves it NaN
+    nan = float("nan")
+    v = accumulate(1.0, 1.0, nan, math.inf, 0.1)
+    assert math.isnan(v)
+    assert math.isnan(accumulate(v, nan, 2.0, math.inf, 0.1))
+    assert math.isnan(accumulate(1.0, 1.0, nan, 2.0, 0.1))
+    # finite records keep their bits, signed zeros included
+    assert math.copysign(1.0, accumulate(0.0, 0.0, -0.0, math.inf, 0.1)) == 1.0
+    assert math.copysign(1.0, accumulate(-0.0, 0.0, 0.0, math.inf, 0.1)) == -1.0
 
 
 def test_accumulate_overflow_is_inf():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from torusmhd.dynamics import InitialCondition, taylor_green_state
-from torusmhd.field import synth_random_divfree, synth_random_field
+from torusmhd.field import SpectralField, synth_random_divfree, synth_random_field
 from torusmhd.grid import Grid, make_grid
 from torusmhd.norms import l2_norm
 from torusmhd.verify import (
@@ -36,7 +36,6 @@ from torusmhd.verify import (
     scaling_report,
     suite_passed,
     troisi_dilation_identity,
-    windowed_ensemble,
     windowed_field,
 )
 
@@ -95,14 +94,14 @@ def test_windowed_family_reproducible(grid2):
 
 
 def test_troisi_ratios_finite(grid2):
-    rep = check_troisi(windowed_ensemble(grid2, seed=0), 4)
+    rep = check_troisi(grid2, 4, seed=0)
     assert rep.kind == "ratio"
     assert rep.n >= 1
     assert all(math.isfinite(s) and s > 0 for s in rep.samples)
-    again = check_troisi(windowed_ensemble(grid2, seed=0), 4)
+    again = check_troisi(grid2, 4, seed=0)
     assert rep.samples == again.samples
     with pytest.raises(ValueError):
-        check_troisi(windowed_ensemble(grid2, seed=0), 0)
+        check_troisi(grid2, 0, seed=0)
 
 
 def test_troisi_dilation_invariance():
@@ -170,7 +169,7 @@ def test_prop31_identities(grid4):
         assert rep.passed, rep.summary()
         assert rep.max < 1e-10
     # hydrodynamic specialisation
-    rep = check_prop31(u, None, "identity_22")
+    rep = check_prop31(u, SpectralField.zeros(grid4, 4), "identity_22")
     assert rep.passed
 
 
@@ -187,26 +186,27 @@ def test_prop31_bounds(grid4):
 
 def test_prop31_degenerate_flow_zeroes_the_ratio(grid4):
     # planar vortex: both free components vanish, majorant and pairing with it
-    u = taylor_green_state(grid4).u
-    rep = check_prop31(u, None, "bound_20")
+    st = taylor_green_state(grid4)
+    rep = check_prop31(st.u, st.b, "bound_20")
     assert rep.samples[0] == 0.0
 
 
 def test_prop31_validation(grid2, grid4):
     u2 = synth_random_divfree(grid2, 2, seed=0)
     with pytest.raises(ValueError, match="dimension 4"):
-        check_prop31(u2, None, "identity_22")
+        check_prop31(u2, SpectralField.zeros(grid2, 2), "identity_22")
     u = synth_random_divfree(grid4, 4, seed=1)
+    zero = SpectralField.zeros(grid4, 4)
     with pytest.raises(ValueError, match="mode"):
-        check_prop31(u, None, "identity_99")
+        check_prop31(u, zero, "identity_99")
     scal = synth_random_field(grid4, 1, seed=3)
     with pytest.raises(ValueError, match="components"):
-        check_prop31(scal, None, "identity_22")
+        check_prop31(scal, zero, "identity_22")
     from torusmhd.field import gradient
 
     contaminated = u + gradient(scal)
     with pytest.raises(ValueError, match="divergence"):
-        check_prop31(contaminated, None, "identity_22")
+        check_prop31(contaminated, zero, "identity_22")
 
 
 def test_prop31_negative_controls():
@@ -227,6 +227,7 @@ def test_prop31_pinned_on_grid4(grid4, sample_calls):
     # components each report hands to Grid.sample, summed
     u = synth_random_divfree(grid4, 4, seed=1)
     b = synth_random_divfree(grid4, 4, seed=2, amplitude=0.7)
+    zero = SpectralField.zeros(grid4, 4)
     ratios = {
         ("bound_20", True): 0.0005888636648100374,
         ("bound_20", False): 0.0027644232749479197,
@@ -234,9 +235,9 @@ def test_prop31_pinned_on_grid4(grid4, sample_calls):
         ("bound_21", False): 0.0037301084749236145,
     }
     for (mode, with_b), want in ratios.items():
-        rep = check_prop31(u, b if with_b else None, mode)
+        rep = check_prop31(u, b if with_b else zero, mode)
         assert rep.samples[0] == pytest.approx(want, rel=1e-12), (mode, with_b)
-    assert check_prop31(u, None, "identity_30_line1").samples == (0.0,)
+    assert check_prop31(u, zero, "identity_30_line1").samples == (0.0,)
 
     def components(run):
         sample_calls.clear()
@@ -245,9 +246,9 @@ def test_prop31_pinned_on_grid4(grid4, sample_calls):
 
     counts = {
         "identity_22": components(lambda: check_prop31(u, b, "identity_22")),
-        "identity_22_no_b": components(lambda: check_prop31(u, None, "identity_22")),
+        "identity_22_no_b": components(lambda: check_prop31(u, zero, "identity_22")),
         "identity_30_line1": components(lambda: check_prop31(u, b, "identity_30_line1")),
-        "identity_30_line1_no_b": components(lambda: check_prop31(u, None, "identity_30_line1")),
+        "identity_30_line1_no_b": components(lambda: check_prop31(u, zero, "identity_30_line1")),
         "nonlinear_split": components(lambda: check_nonlinear_split(u)),
         "bound_20": components(lambda: check_prop31(u, b, "bound_20")),
         "bound_21": components(lambda: check_prop31(u, b, "bound_21")),
@@ -367,7 +368,7 @@ def test_scaling_laws(grid2):
     assert rep.passed
     assert rep.max < 1e-11
     u = synth_random_divfree(grid2, 2, seed=1)
-    single = check_scaling(u, None, 2)
+    single = check_scaling(u, SpectralField.zeros(grid2, 2), 2)
     assert single.passed
 
 
