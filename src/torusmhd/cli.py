@@ -11,12 +11,11 @@ exit 2, which is the configuration-error code on purpose.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from pathlib import Path
 
-from .criteria import bootstrap_trigger
+from .criteria import bootstrap_trigger, verdicts
 from .dynamics import MhdState, Recorder, dissipation_rate, simulate
 from .grid import set_fft_workers
 from .norms import accumulate
@@ -72,6 +71,9 @@ def _resolve_threads(n: int | None) -> None:
 def cmd_simulate(args) -> int:
     config = tio.load_config(args.config)
     out = Path(args.out)
+    # a second run's files would mix with the first's in one inventory
+    if any(any(out.glob(name)) for name in ("state_*.spc4", tio.SERIES_NAME, tio.MANIFEST_NAME)):
+        raise tio.ConfigError(f"{out} already holds a run; give --out a fresh directory")
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
 
@@ -81,11 +83,12 @@ def cmd_simulate(args) -> int:
     result = simulate(config, snapshot_sink=sink)
     tio.write_series_csv(out / tio.SERIES_NAME, result.series)
     tio.write_manifest(out, result, started=started, finished=time.time())
+    last = result.series.last()
     print(f"status: {result.status}")
     print(f"records: {len(result.series)}")
-    print(f"energy: {result.series.last()['energy']!r}")
-    print(f"defect: {result.series.last()['defect']!r}")
-    for label, verdict in result.verdicts.items():
+    print(f"energy: {last['energy']!r}")
+    print(f"defect: {last['defect']!r}")
+    for label, verdict in verdicts(last, config.criteria, result.status).items():
         print(f"criterion {label}: {verdict}")
     print(f"wrote {out / tio.SERIES_NAME} and {out / tio.MANIFEST_NAME}")
     return EXIT_OK if result.status == "completed" else EXIT_DIVERGED
@@ -133,16 +136,18 @@ def cmd_monitor(args) -> int:
         recorder.record(t, state, dissipation)
 
     replay_csv = indir / "replay.csv"
-    tio.write_series_csv(replay_csv, recorder.series)
+    tio.write_series_csv(replay_csv, recorder)
+    row = recorder.last()
     print(f"replayed {len(snaps)} snapshots from {indir}")
-    print(f"defect: {recorder.series.last()['defect']!r}")
+    print(f"defect: {row['defect']!r}")
+    # a replay reads stored finite states, so it never diverges
+    verdict = verdicts(row, spec_cfg.criteria, "completed")
     for spec in spec_cfg.criteria:
-        acc = spec.accumulated(recorder.series)
-        finite = "finite" if all(map(math.isfinite, acc.values())) else "DIVERGENT"
-        vals = "  ".join(f"{key}={v!r}" for key, v in acc.items())
+        finite = "finite" if verdict[spec.label] == "accumulators_finite" else "DIVERGENT"
+        vals = "  ".join(f"{key}={v!r}" for key, v in spec.accumulated(row).items())
         print(f"criterion {spec.label}: accumulators {finite}  {vals}")
     if spec_cfg.monitor_bootstrap:
-        print(f"bootstrap_trigger: {bootstrap_trigger(recorder.series)!r}")
+        print(f"bootstrap_trigger: {bootstrap_trigger(row)!r}")
     print(f"wrote {replay_csv}")
     return EXIT_OK
 

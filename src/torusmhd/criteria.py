@@ -1,8 +1,9 @@
 """Regularity-criterion bookkeeping: admissible exponent regions, monitored
-quantities, the Gronwall right-hand-side functionals, and the name of every
+quantities, the Gronwall right-hand-side functionals, the name of every
 norm and accumulator column of a record, each in one (norm column, quantity,
 p, accumulator column, r) of :attr:`CriterionSpec.columns` or
-:func:`bootstrap_columns`.
+:func:`bootstrap_columns`, and each criterion's verdict on a run, read from
+the last row of its table by :func:`verdicts`.
 
 Admissibility is decided in exact rational arithmetic on the binary values
 of the inputs, so boundary pairs land on the correct side deterministically.
@@ -20,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .field import SpectralField, partial_derivative
-from .norms import NormSeries, lp_norms, wxyz
+from .norms import lp_norms, wxyz
 
 __all__ = [
     "Theorem",
@@ -35,6 +36,7 @@ __all__ = [
     "SPLIT_TAGS",
     "p_label",
     "SMALLNESS_ENDPOINTS",
+    "verdicts",
 ]
 
 
@@ -199,11 +201,25 @@ class CriterionSpec:
             (f"L{p_label(p)}_{c}", c, p, f"acc_{self.label}_{c}", r) for c, (p, r) in self.pairs
         )
 
-    def accumulated(self, series: NormSeries) -> dict[str, float]:
-        """This criterion's accumulator values in the last row of ``series``,
-        by accumulator column."""
-        last = series.last()
-        return {acc: last[acc] for _norm, _q, _p, acc, _r in self.columns}
+    def accumulated(self, row: Mapping[str, float]) -> dict[str, float]:
+        """This criterion's accumulator values in ``row`` (a table row by
+        column), by accumulator column."""
+        return {acc: row[acc] for _norm, _q, _p, acc, _r in self.columns}
+
+
+def verdicts(
+    row: Mapping[str, float], criteria: Sequence[CriterionSpec], status: str
+) -> dict[str, str]:
+    """``{label: verdict}`` of each criterion on a run whose table ends at
+    ``row``: ``"diverged"`` for a run of that status, else
+    ``"accumulators_finite"`` while every accumulator of the criterion is
+    finite, and ``"accumulator_divergent"`` once one is inf or NaN."""
+    return {
+        spec.label: "diverged" if status == "diverged"
+        else "accumulators_finite" if all(map(math.isfinite, spec.accumulated(row).values()))
+        else "accumulator_divergent"
+        for spec in criteria
+    }
 
 
 def _parts(tag: str, fields: dict, free_axes: tuple[int, int]) -> tuple[tuple, ...]:
@@ -263,17 +279,15 @@ def bootstrap_columns(dim: int) -> tuple[tuple[str, str, float, str, float], ...
     return tuple((f"grad{f}_LN", f"grad_{f}", dim, f"acc_bootstrap_grad{f}_LN", 2.0) for f in "ub")
 
 
-def bootstrap_trigger(series: NormSeries) -> float:
-    """Integral of ||grad u||_{L^N}^2 + ||grad b||_{L^N}^2 accumulated so far.
-
-    Reads both bootstrap accumulators from the last row of the series.
+def bootstrap_trigger(row: Mapping[str, float]) -> float:
+    """Integral of ||grad u||_{L^N}^2 + ||grad b||_{L^N}^2 accumulated up to
+    ``row`` (a table row by column), read from its two bootstrap accumulators.
     """
-    last = series.last()
     total = 0.0
     for _norm, _q, _p, key, _r in bootstrap_columns(4):  # the same in every dim
-        if key not in last:
-            raise ValueError(f"series is missing bootstrap column '{key}'")
-        total += last[key]
+        if key not in row:
+            raise ValueError(f"row is missing bootstrap column '{key}'")
+        total += row[key]
     return total
 
 

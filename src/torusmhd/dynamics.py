@@ -9,7 +9,7 @@ forms the stress u_i u_j - b_i b_j, shared by the momentum term and
 and analyses them dim at a time.  The pressure is eliminated per mode by the
 Leray projection, and diffusion is integrated exactly by the integrating
 factor inside the RK4 stages.  A scalar quadrature of the dissipation rate
-rides along the same stages so the energy ledger (the series' ``defect``)
+rides along the same stages so the energy ledger (the table's ``defect``)
 closes to the integrator's own order.  Its endpoint nonlinearity, cached on
 the new state, is the next step's first stage ("first same as last", Dormand
 & Prince 1980): a viscous run of N steps makes 4N + 1 nonlinear evaluations,
@@ -33,7 +33,7 @@ import numpy as np
 from .criteria import PRESSURE_TAGS, SPLIT_TAGS, CriterionSpec, bootstrap_columns, monitored_norms
 from .field import SpectralField, check_divfree, _leray_raw
 from .grid import Grid, make_grid
-from .norms import NormSeries, accumulate, energy, lp_norm, wxyz
+from .norms import accumulate, energy, lp_norm, wxyz
 
 __all__ = [
     "MhdState",
@@ -573,56 +573,73 @@ def series_columns(config: SimConfig) -> tuple[str, ...]:
 
 
 class Recorder:
-    """The record and accumulate loop of a live run and of a replay.
+    """The run's table, and the record and accumulate loop of a live run and
+    of a replay that fills it.
 
-    Owns the series, the run's one table: each :meth:`record` appends one row
-    holding the diagnostics, the ledger's dissipation integral and defect (the
-    first row's energy minus this row's, minus the integral), and every
-    accumulator, advanced from the previous row.  The defect vanishes for the
-    exact dynamics; along a run it is the time integrator's error.  The
-    integral stays with the caller, since a live run sums the steps'
+    One row per record: the time, then one value per column of
+    :func:`series_columns` (the series.csv order, fixed at construction): the
+    diagnostics, the ledger's dissipation integral and defect (the first
+    row's energy minus this row's, minus the integral), and every
+    accumulator, advanced from the previous row.  The table is the only store
+    of these values; times must be strictly increasing.  The defect vanishes
+    for the exact dynamics; along a run it is the time integrator's error.
+    The integral stays with the caller, since a live run sums the steps'
     increments and a replay takes the trapezoid of the sampled rates.
     """
 
     def __init__(self, config: SimConfig):
         self.config = config
-        self.series = NormSeries()
-        self.columns = series_columns(config)
+        self.times: list[float] = []
+        self.records: dict[str, list[float]] = {col: [] for col in series_columns(config)}
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    @property
+    def columns(self) -> list[str]:
+        return ["time", *self.records]
+
+    def last(self) -> dict[str, float]:
+        """The latest row by column, time left out; empty before the first record."""
+        return {col: vals[-1] for col, vals in self.records.items()} if self.times else {}
 
     def dt_to(self, t: float) -> float:
         """Width of the record interval ending at t (0 for the first record)."""
-        times = self.series.times
-        return t - times[-1] if times else 0.0
+        return t - self.times[-1] if self.times else 0.0
 
     def record(self, t: float, state: MhdState, dissipation_integral: float) -> None:
-        """Record the state at time t as one row of the series."""
+        """Record the state at time t as one row of the table."""
+        if self.times and t <= self.times[-1]:
+            raise ValueError(
+                f"record times must be strictly increasing ({t} after {self.times[-1]})"
+            )
         # a run heading for divergence can overflow |u|^p here; inf is the
         # honest record for that, no warning needed
         with np.errstate(over="ignore"):
             row = compute_record(state.u, state.b, self.config)
-        initial = self.series.records["energy"][0] if self.series else row["energy"]
+        initial = self.records["energy"][0] if self.times else row["energy"]
         row.update(
             dissipation_integral=dissipation_integral,
             defect=initial - row["energy"] - dissipation_integral,
         )
         # the first record (an empty last row, dt 0) seeds the sups with the
         # initial value and the integrals at 0
-        last, dt = self.series.last(), self.dt_to(t)
+        last, dt = self.last(), self.dt_to(t)
         for norm, _q, _p, acc, r in self.config.columns:
             row[acc] = accumulate(last.get(acc), last.get(norm), row[norm], r, dt)
-        self.series.record(t, {col: row[col] for col in self.columns})
+        self.times.append(float(t))
+        for col, vals in self.records.items():
+            vals.append(float(row[col]))
 
 
 @dataclass
 class SimResult:
-    """Everything a run produced (file writing is the caller's business); the
-    series ends at the final state, the last finite one if the run diverged."""
+    """Everything a run produced (file writing is the caller's business): its
+    status, "completed" or "diverged", its table, which ends at the final
+    state, the last finite one if the run diverged, and that state."""
 
     status: str
-    config: SimConfig
-    series: NormSeries
-    # criterion label -> "accumulators_finite", "accumulator_divergent" or "diverged"
-    verdicts: dict[str, str]
+    series: Recorder
     final_state: MhdState
 
 
@@ -666,12 +683,4 @@ def simulate(
                 recorder.record(t, state, dissipation)
             break
         dissipation += dinc
-
-    verdicts = {}
-    for spec in config.criteria:
-        finite = all(map(math.isfinite, spec.accumulated(recorder.series).values()))
-        verdicts[spec.label] = (
-            "diverged" if status == "diverged"
-            else "accumulators_finite" if finite else "accumulator_divergent"
-        )
-    return SimResult(status, config, recorder.series, verdicts, state)
+    return SimResult(status, recorder, state)

@@ -4,7 +4,7 @@ Snapshot files hold raw spectral coefficients on the full ``(M,)*dim``
 layout with a fixed 52-byte header, so a stored run can be replayed bit for
 bit; the reader gathers the stored band and checks it against its mirror
 positions -k (Hermitian symmetry) and the rest of the array (band limit).
-The series file is the run's table (:class:`~torusmhd.norms.NormSeries`) as
+The series file is the run's table (:class:`~torusmhd.dynamics.Recorder`) as
 plain CSV, its columns in the table's order, each named once; floats are
 written with ``repr`` so repeated runs of the same configuration produce
 byte-identical files that read back bit for bit.  A config document is the
@@ -31,10 +31,9 @@ from typing import Iterable
 import numpy as np
 
 from .criteria import CriterionSpec, Theorem
-from .dynamics import InitialCondition, MhdState, SimConfig, SimResult
+from .dynamics import InitialCondition, MhdState, Recorder, SimConfig, SimResult
 from .field import SpectralField
 from .grid import Grid, make_grid
-from .norms import NormSeries
 
 __all__ = [
     "SnapshotFormatError",
@@ -236,7 +235,7 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 
 
-def write_series_csv(path: str | Path, series: NormSeries) -> None:
+def write_series_csv(path: str | Path, series: Recorder) -> None:
     """Write the run's table: a header of its columns, then one line per row."""
     lines = [",".join(series.columns)]
     lines += (",".join(map(repr, row)) for row in zip(series.times, *series.records.values()))
@@ -454,12 +453,12 @@ def write_manifest(
         "format_version": MANIFEST_VERSION,
         "package_version": __version__,
         "status": result.status,
-        "seed": result.config.initial.seed,
+        "seed": result.series.config.initial.seed,
         "started_unix": started,
         "finished_unix": finished,
         "records": len(result.series),
         "columns": result.series.columns,
-        "config": config_to_dict(result.config),
+        "config": config_to_dict(result.series.config),
         "files": files,
     }
     _write_atomic(directory / MANIFEST_NAME, [(json.dumps(manifest, indent=2) + "\n").encode()])

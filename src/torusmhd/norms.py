@@ -1,4 +1,4 @@
-"""Norms, anisotropic functionals and the run's series table.
+"""Norms, anisotropic functionals and the accumulators of the run's table.
 
 Quadratic quantities (L2 norms, the energy, the W/X/Y/Z functionals) are
 evaluated exactly in coefficient space via Parseval, as
@@ -31,9 +31,9 @@ T1.5 and the bootstrap samples 35 parts on 32^4 points in about 0.4 s on a
 of it; :func:`lp_norms`' elementwise work (squares, in-place sums, sqrt,
 powers, quadrature) is most of the other 40%.
 
-A run keeps its numbers in one table, :class:`NormSeries`: one row per
-record holding the diagnostics, the energy ledger and each accumulator, which
-:func:`accumulate` advances from the previous row's values.
+A run keeps its numbers in one table, :class:`~torusmhd.dynamics.Recorder`:
+one row per record holding the diagnostics, the energy ledger and each
+accumulator, which :func:`accumulate` advances from the previous row's values.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "energy",
     "wxyz",
     "WXYZ",
-    "NormSeries",
     "accumulate",
 ]
 
@@ -164,45 +163,6 @@ def wxyz(u: SpectralField, b: SpectralField, plane: tuple[int, int] = (0, 1)) ->
         for i, weight in enumerate((k2_plane, k2, k2_plane * k2, k2 * k2)):
             vals[i] += g.parseval_sum(weight * power)
     return WXYZ(*vals)
-
-
-class NormSeries:
-    """The run's table: one row per record, the only store of its values.
-
-    A row holds the time and one value per column: the diagnostics, the
-    ledger's dissipation integral and defect, and every accumulator, in the
-    order of the first row (the series.csv order).  Every later row must
-    supply the same columns; times must be strictly increasing.
-    """
-
-    def __init__(self) -> None:
-        self.times: list[float] = []
-        self.records: dict[str, list[float]] = {}
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @property
-    def columns(self) -> list[str]:
-        return ["time", *self.records]
-
-    def last(self) -> dict[str, float]:
-        """The latest row by column, time left out; empty before the first record."""
-        return {col: vals[-1] for col, vals in self.records.items()}
-
-    def record(self, t: float, values: Mapping[str, float]) -> None:
-        if self.times and t <= self.times[-1]:
-            raise ValueError(
-                f"record times must be strictly increasing ({t} after {self.times[-1]})"
-            )
-        if self.records and set(values) != set(self.records):
-            raise ValueError(
-                "record tag set changed: expected "
-                f"{sorted(self.records)}, got {sorted(values)}"
-            )
-        self.times.append(float(t))
-        for tag, v in values.items():
-            self.records.setdefault(tag, []).append(float(v))
 
 
 def accumulate(

@@ -127,6 +127,53 @@ def test_simulate_overflowing_records_end_divergent(tmp_path, capsys):
     assert series["acc_CLASSICAL_U_u"][-1] == math.inf
 
 
+def test_monitor_reads_the_overflowing_run_divergent(tmp_path, capsys):
+    # the run of the test above, with a snapshot at each end of its step:
+    # the replay reads the verdict simulate printed, in monitor's words
+    cfg = write_config(
+        tmp_path / "run.json",
+        dt=1e-60,
+        t_end=1e-60,
+        record_every=1,
+        snapshot_every=1,
+        initial=InitialCondition(preset="taylor_green", amplitude=1e60),
+        criteria=(CriterionSpec(Theorem.CLASSICAL_U, pairs=(("u", (3, 6)),)),),
+    )
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert "criterion CLASSICAL_U: accumulator_divergent" in capsys.readouterr().out
+    assert cli.main(["monitor", "--in", str(out), "--spec", str(cfg)]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    assert "replayed 2 snapshots" in text
+    assert "criterion CLASSICAL_U: accumulators DIVERGENT  acc_CLASSICAL_U_u=inf" in text
+
+
+def test_simulate_refuses_an_out_directory_holding_a_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    first = write_config(tmp_path / "first.json")
+    assert cli.main(["simulate", "--config", str(first), "--out", str(out)]) == cli.EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "state_00000004.spc4" in before
+    second = write_config(
+        tmp_path / "second.json",
+        t_end=0.002,
+        initial=InitialCondition(preset="random_divfree", seed=6),
+    )
+    capsys.readouterr()
+    assert cli.main(["simulate", "--config", str(second), "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and str(out) in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # each of the run's files alone marks the directory as used
+    for name in ("state_00000000.spc4", tio.SERIES_NAME, tio.MANIFEST_NAME):
+        used = tmp_path / f"used_{name}"
+        used.mkdir()
+        (used / name).write_bytes(before[name])
+        assert cli.main(["simulate", "--config", str(second), "--out", str(used)]) == 2
+        assert sorted(p.name for p in used.iterdir()) == [name]
+    capsys.readouterr()
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"viscosity": 1.0}))
@@ -195,6 +242,14 @@ def test_verify_identities_suite_passes(capsys):
     text = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert "suite identities: PASS" in text
+
+
+def test_verify_inequalities_suite_passes(capsys):
+    # the only Tier-1 run of the suite that builds both refinement-drift reports
+    code = cli.main(["verify", "--suite", "inequalities", "--n", "1"])
+    text = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert "suite inequalities: PASS" in text
 
 
 def test_verify_rejects_empty_ensemble(capsys):

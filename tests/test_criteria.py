@@ -18,6 +18,7 @@ from torusmhd.criteria import (
     monitored_field,
     monitored_norms,
     p_label,
+    verdicts,
 )
 from torusmhd.field import (
     gradient,
@@ -33,7 +34,7 @@ from torusmhd.dynamics import (
     simulate,
 )
 from torusmhd.field import SpectralField
-from torusmhd.norms import NormSeries, lp_norm, wxyz
+from torusmhd.norms import lp_norm, wxyz
 
 INF = math.inf
 
@@ -324,7 +325,8 @@ def test_monitored_norms_zero_field_is_zero_unsampled(grid4, sample_calls):
 
 
 def recorded(monkeypatch, spec, rows, bootstrap=False):
-    """The series a Recorder builds from these diagnostics rows, at t = 0, 0.1, ..."""
+    """The last row of the table a Recorder builds from these diagnostics
+    rows, at t = 0, 0.1, ..."""
     cfg = SimConfig(dim=4, modes_per_axis=8, criteria=(spec,), monitor_bootstrap=bootstrap)
     fixed = dict(energy=1.0, W=0.0, X=0.0, Y=0.0, Z=0.0)
     it = iter(rows)
@@ -332,7 +334,7 @@ def recorded(monkeypatch, spec, rows, bootstrap=False):
     rec = Recorder(cfg)
     for n in range(len(rows)):
         rec.record(0.1 * n, SimpleNamespace(u=None, b=None), 0.0)
-    return rec.series
+    return rec.last()
 
 
 def test_monitor_status_seeding():
@@ -344,23 +346,23 @@ def test_monitor_status_seeding():
     rec = Recorder(cfg)
     state = MhdState(synth_random_divfree(g, 2, seed=1), SpectralField.zeros(g, 2))
     rec.record(0.0, state, 0.0)
-    first = rec.series.records["L8_u"][0]
+    first = rec.records["L8_u"][0]
     assert first > 0.0
-    last = rec.series.last()
+    last = rec.last()
     assert {k: v for k, v in last.items() if k.startswith("acc_")} == {
         "acc_CLASSICAL_U_u": first,
         "acc_bootstrap_gradu_LN": 0.0,
         "acc_bootstrap_gradb_LN": 0.0,
     }
-    assert spec.accumulated(rec.series) == {"acc_CLASSICAL_U_u": first}
-    assert rec.series.records["acc_CLASSICAL_U_u"] == [first]
+    assert spec.accumulated(last) == {"acc_CLASSICAL_U_u": first}
+    assert rec.records["acc_CLASSICAL_U_u"] == [first]
 
 
 def test_monitor_update_trapezoid_and_sup(monkeypatch):
     spec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
     rows = [{"L8_u3": 2.0, "L8_u4": 3.0}, {"L8_u3": 1.0, "L8_u4": 4.0}]
-    series = recorded(monkeypatch, spec, rows[:1])
-    assert spec.accumulated(series) == {"acc_T1_1_u3": 0.0, "acc_T1_1_u4": 0.0}
+    row = recorded(monkeypatch, spec, rows[:1])
+    assert spec.accumulated(row) == {"acc_T1_1_u3": 0.0, "acc_T1_1_u4": 0.0}
     acc = spec.accumulated(recorded(monkeypatch, spec, rows))
     want_u3 = 0.1 * (2.0**16 + 1.0**16) / 2
     want_u4 = 0.1 * (3.0**16 + 4.0**16) / 2
@@ -371,9 +373,9 @@ def test_monitor_update_trapezoid_and_sup(monkeypatch):
 def test_monitor_update_smallness_tracks_sup_only(monkeypatch):
     spec = CriterionSpec(Theorem.T1_1, smallness=True)
     rows = [{"L6_u3": 2.0, "L6_u4": 5.0}, {"L6_u3": 3.0, "L6_u4": 1.0}]
-    series = recorded(monkeypatch, spec, rows)
+    row = recorded(monkeypatch, spec, rows)
     # r = inf accumulators carry the running sup, not an integral
-    assert spec.accumulated(series) == {"acc_T1_1_u3": 3.0, "acc_T1_1_u4": 5.0}
+    assert spec.accumulated(row) == {"acc_T1_1_u3": 3.0, "acc_T1_1_u4": 5.0}
 
 
 def test_monitor_update_missing_tag_names_it(monkeypatch):
@@ -401,7 +403,35 @@ def test_monitor_detects_divergent_accumulator():
     res = simulate(cfg)
     assert res.status == "completed"
     assert res.series.last()["acc_CLASSICAL_U_u"] == INF
-    assert res.verdicts == {"CLASSICAL_U": "accumulator_divergent"}
+    assert verdicts(res.series.last(), cfg.criteria, res.status) == {
+        "CLASSICAL_U": "accumulator_divergent"
+    }
+
+
+def test_verdicts_read_only_each_criterion_accumulators():
+    t11 = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
+    cu = CriterionSpec(Theorem.CLASSICAL_U, pairs=(("u", (8, 4)),))
+    row = {"L8_u": math.nan, "acc_T1_1_u3": 1.0, "acc_T1_1_u4": 2.0, "acc_CLASSICAL_U_u": 3.0}
+    # a NaN norm column is no accumulator: both verdicts stay finite
+    assert verdicts(row, (t11, cu), "completed") == {
+        "T1_1": "accumulators_finite",
+        "CLASSICAL_U": "accumulators_finite",
+    }
+    # an overflowed accumulator reads inf, or NaN where an inf met a zero
+    for bad in (INF, -INF, math.nan):
+        assert verdicts({**row, "acc_T1_1_u4": bad}, (t11, cu), "completed") == {
+            "T1_1": "accumulator_divergent",
+            "CLASSICAL_U": "accumulators_finite",
+        }
+    # a diverged run's verdict is its status, whatever its last row holds
+    for acc in (3.0, INF, math.nan):
+        assert verdicts({**row, "acc_CLASSICAL_U_u": acc}, (t11, cu), "diverged") == {
+            "T1_1": "diverged",
+            "CLASSICAL_U": "diverged",
+        }
+    assert verdicts(row, (), "completed") == {}
+    with pytest.raises(KeyError, match="acc_CLASSICAL_U_u"):
+        verdicts({"acc_T1_1_u3": 1.0, "acc_T1_1_u4": 2.0}, (t11, cu), "completed")
 
 
 def test_bootstrap_trigger_sums_gradient_accumulators(monkeypatch):
@@ -410,14 +440,12 @@ def test_bootstrap_trigger_sums_gradient_accumulators(monkeypatch):
         {"L8_u": 1.0, "gradu_LN": 2.0, "gradb_LN": 1.0},
         {"L8_u": 1.0, "gradu_LN": 4.0, "gradb_LN": 3.0},
     ]
-    series = recorded(monkeypatch, spec, rows, bootstrap=True)
+    row = recorded(monkeypatch, spec, rows, bootstrap=True)
     # trapezoid of the squares over dt = 0.1: (4+16)/2*0.1 + (1+9)/2*0.1
-    assert bootstrap_trigger(series) == pytest.approx(1.0 + 0.5, rel=1e-15)
+    assert bootstrap_trigger(row) == pytest.approx(1.0 + 0.5, rel=1e-15)
 
-    bare = NormSeries()
-    bare.record(0.0, {"gradu_LN": 1.0, "acc_bootstrap_gradu_LN": 0.0})
     with pytest.raises(ValueError, match="gradb_LN"):
-        bootstrap_trigger(bare)
+        bootstrap_trigger({"gradu_LN": 1.0, "acc_bootstrap_gradu_LN": 0.0})
 
 
 # ------------------------------------------------------------- gronwall_rhs

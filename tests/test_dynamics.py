@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from torusmhd.criteria import CriterionSpec, Theorem
+from torusmhd.criteria import CriterionSpec, Theorem, verdicts
 from torusmhd.dynamics import (
     DivergedError,
     InitialCondition,
     MhdState,
+    Recorder,
     SimConfig,
     advective_dt_bound,
     compute_record,
@@ -458,7 +459,9 @@ def test_simulate_zero_initial_stays_zero():
     assert all(v == 0.0 for v in res.series.records["energy"])
     assert res.series.records["defect"] == [0.0] * len(res.series)
     assert res.series.records["acc_CLASSICAL_U_u"] == [0.0] * len(res.series)
-    assert res.verdicts == {"CLASSICAL_U": "accumulators_finite"}
+    assert verdicts(res.series.last(), cfg.criteria, res.status) == {
+        "CLASSICAL_U": "accumulators_finite"
+    }
 
 
 def test_simulate_b_zero_stays_zero():
@@ -532,6 +535,25 @@ def test_simulate_validates_each_state_once(monkeypatch):
     assert res.series.times == [n * 1e-3 for n in range(6)]
 
 
+def test_recorder_table_and_time_guard():
+    # the columns are fixed at construction; a row at a time that is not
+    # after the last one is refused and leaves the table as it was
+    cfg = SimConfig(dim=2, modes_per_axis=8)
+    rec = Recorder(cfg)
+    assert len(rec) == 0 and rec.last() == {}
+    assert rec.columns == ["time", *series_columns(cfg)]
+    state = initial_state(cfg)
+    rec.record(0.0, state, 0.0)
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rec.record(t, state, 0.0)
+    rec.record(1.0, state, 0.5)
+    assert len(rec) == 2 and rec.times == [0.0, 1.0]
+    assert list(rec.records) == list(series_columns(cfg))
+    assert rec.last() == {col: vals[1] for col, vals in rec.records.items()}
+    assert rec.last()["dissipation_integral"] == 0.5
+
+
 def test_simulate_criteria_columns_4d():
     spec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
     cfg = SimConfig(
@@ -547,7 +569,7 @@ def test_simulate_criteria_columns_4d():
     assert "L8_u3" in res.series.records
     assert "L8_u4" in res.series.records
     assert "gradu_LN" in res.series.records
-    assert res.verdicts == {"T1_1": "accumulators_finite"}
+    assert verdicts(res.series.last(), cfg.criteria, res.status) == {"T1_1": "accumulators_finite"}
     assert res.series.last()["acc_T1_1_u3"] > 0.0
     # one row per record: the series.csv columns, each norm before its accumulator
     assert res.series.columns == ["time", *series_columns(cfg)] == [
@@ -638,5 +660,5 @@ def test_simulate_flags_divergence():
     )
     res = simulate(cfg)
     assert res.status == "diverged"
-    assert res.verdicts == {"CLASSICAL_U": "diverged"}
+    assert verdicts(res.series.last(), cfg.criteria, res.status) == {"CLASSICAL_U": "diverged"}
     assert len(res.series.times) >= 1

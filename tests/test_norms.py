@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from torusmhd.field import SpectralField, partial_derivative, sample_part, synth_random_field
 from torusmhd.grid import make_grid
 from torusmhd.norms import (
-    NormSeries,
     accumulate,
     energy,
     l2_norm,
@@ -141,20 +140,6 @@ def test_wxyz_single_mode_closed_form():
     assert vals.X == pytest.approx(e * 1.0, rel=1e-12)  # |k|^2 = 1
     assert vals.W == pytest.approx(e * 1.0, rel=1e-12)  # k lies in the plane
     assert vals.Z == pytest.approx(e * 1.0, rel=1e-12)
-
-
-def test_series_record_validation():
-    s = NormSeries()
-    s.record(0.0, {"a": 1.0, "b": 2.0})
-    with pytest.raises(ValueError):
-        s.record(0.0, {"a": 1.0, "b": 2.0})  # time not increasing
-    with pytest.raises(ValueError):
-        s.record(1.0, {"a": 1.0})  # tag set changed
-    s.record(1.0, {"a": 3.0, "b": 4.0})
-    assert len(s) == 2
-    assert s.records["a"] == [1.0, 3.0]
-    assert s.columns == ["time", "a", "b"]
-    assert s.last() == {"a": 3.0, "b": 4.0}
 
 
 def test_accumulate_trapezoid_matches_closed_form():
