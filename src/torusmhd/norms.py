@@ -18,12 +18,15 @@ p = 3 up to degree 4 moves ``gradu_LN`` by up to 9.2e-9 relative, past the
 degree 8 at M = 32 would need 84 > 64 points.
 
 A record streams the evaluation grid in slabs (:meth:`Grid.slabs`), so its
-L^p samples hold at most a slab of rows each: every record the benchmark
-runs (dim-4 M = 16 on 32^4 = 2^20 points, dim-3 M = 48 on 96^3) is one slab
-and makes the same operations as a full-grid pass, while a dim-4 M = 32
-MHD record (T1.4 smallness, T1.5, bootstrap) streams 64^4 points in 8
-slabs: 5.6-6.4 s at 227 MiB max RSS in-process on a 2-core x86-64 box,
-against 6.6-7.1 s and 749 MiB on the full grid.
+L^p samples hold at most a slab of rows each.  The slabs are sized by what
+the pass holds: its most sums open at once, plus one part's samples and the
+half layout they come from.  The monitor's dim-4 M = 16 MHD record (T1.4
+smallness, T1.5, bootstrap) keeps three sums open (grad u, grad u3, grad
+u4) and streams 32^4 points in 2 slabs: 20.5 MiB traced, against 40.8 MiB
+as one.  A dim-3 M = 48 record with one sum open is one slab and makes the
+same operations as a full-grid pass, while a dim-4 M = 32 MHD record
+streams 64^4 points in 8 slabs: 5.6-6.4 s at 227 MiB max RSS in-process on
+a 2-core x86-64 box, against 6.6-7.1 s and 749 MiB on the full grid.
 
 Where a record's time goes: a dim-4 M = 16 record with T1.4 smallness,
 T1.5 and the bootstrap samples 35 parts on 32^4 points in about 0.4 s on a
@@ -103,10 +106,16 @@ def lp_norms(
     last = {key: part for part in visit for key in holders[part]}
     if not visit:
         return {}
+    open_sums, most_open = set(), 0
+    for part in visit:
+        open_sums.update(holders[part])
+        most_open = max(most_open, len(open_sums))
+        open_sums -= {key for key in holders[part] if last[key] == part}
     grid = fields[visit[0][0]].grid
     m = m_eval or grid.eval_modes
     slab_values: dict[tuple[Hashable, float], list[float]] = {}
-    for rows in grid.slabs(m):
+    # a slab holds the open sums, one part's samples and their half layout
+    for rows in grid.slabs(m, most_open + 2):
         sums: dict[Hashable, np.ndarray] = {}
         for name, axis, comp in visit:
             sq = sample_part(fields[name], comp, axis, m, rows)

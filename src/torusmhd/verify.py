@@ -772,7 +772,10 @@ def check_dissipative_identity(
     powers are not band-limited and integrate approximately on ``m_quad``
     points (default ``eval_modes``); the residual tightens under refinement.
     Both sides stream the grid slab by slab (``Grid.slabs``), |u|^{p-2} made
-    once per slab, and add the slab quadratures in slab order.
+    once per slab, and add the slab quadratures in slab order.  A slab holds
+    at most five slab-sized arrays on the left side (u, Delta u, |u|^{p-2}
+    and two products) and dim + 3 on the right (|u|^{p-2}, the gradient's
+    dim rows, one derivative's samples and their half layout).
     """
     if p <= 1:
         raise ValueError(f"the identity needs p > 1, got {p}")
@@ -782,7 +785,7 @@ def check_dissipative_identity(
     exact = p in (2.0, 4.0)
     m = g.alias_free_modes(int(p), 0) if exact else (m_quad or g.eval_modes)
     lhs_slabs, rhs_slabs = [], []
-    for rows in g.slabs(m):
+    for rows in g.slabs(m, max(5, g.dim + 3)):
         us = sample_part(u_comp, 0, m_eval=m, rows=rows)
         lap = g.sample(-g.k_squared[None] * u_comp.coeffs, m, rows)[0]
         weight = np.abs(us) ** (p - 2.0)
@@ -815,8 +818,8 @@ def dissipative_ensemble(
 
     The default lives on the 2-torus: fractional powers put quadrature
     accuracy at a premium, and pad 256 brings generic samples below the
-    1e-6 bar with two orders to spare.  Its 2048^2 grid streams four
-    slabs, about 40 MiB traced.
+    1e-6 bar with two orders to spare.  Its 2048^2 grid streams six
+    slabs, about 27 MiB traced.
     The exact cases p in {2, 4} ignore ``pad``, integrate on the rule's
     size, pass at machine precision in any dimension and cover the 4-torus.
     """

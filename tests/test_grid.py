@@ -155,18 +155,30 @@ def test_sample_rows_are_the_full_sample_rows():
                     assert np.array_equal(got, want), (dim, m_eval, lead, rows)
 
 
+def _check_slabs(dim, m, arrays, slabs):
+    # the rows once, in order, at most 8 slabs of ceil(m/n) rows but the
+    # last, and within 2^22 point-arrays unless the cap of ceil(m/8) rows
+    # binds, which can leave fewer than 8 slabs (m = 49: 7 of 7 rows)
+    assert [r for rows in slabs for r in range(m)[rows]] == list(range(m))
+    assert len(slabs) <= 8
+    rows = -(-m // len(slabs))
+    assert all(len(range(m)[s]) == rows for s in slabs[:-1])
+    assert rows == -(-m // 8) or rows * m ** (dim - 1) * arrays <= 2**22
+
+
 def test_slabs_cover_the_rows_once_in_order():
-    # one slab up to about 2^20 points, at most 8 above
-    counts = {(4, 16, 32): 1, (3, 48, 96): 1, (2, 8, 2048): 4, (4, 32, 64): 8, (4, 48, 96): 8}
-    for (dim, modes, m), count in counts.items():
-        assert len(make_grid(dim, modes).slabs(m)) == count, (dim, modes, m)
+    # as few slabs as keep the pass's arrays within 2^22 points, at most 8:
+    # the monitor's dim-4 M = 16 record (5 arrays) is 2, a dim-3 M = 48 one
+    # (3 arrays) 1, and the dissipative identity's 2048^2 grid (5) is 6
+    counts = {(4, 16, 32, 5): 2, (3, 48, 96, 3): 1, (2, 8, 2048, 5): 6,
+              (4, 32, 64, 5): 8, (4, 48, 96, 5): 8}
+    for (dim, modes, m, arrays), count in counts.items():
+        assert len(make_grid(dim, modes).slabs(m, arrays)) == count, (dim, modes, m)
     for dim in (2, 3, 4):
         g = make_grid(dim, 8)
-        for m in (8, 24, 50, 96, 144, 2048):
-            slabs = g.slabs(m)
-            assert [r for rows in slabs for r in range(m)[rows]] == list(range(m))
-            assert len(slabs) <= 8
-            assert all(len(range(m)[rows]) >= 2**20 // m ** (dim - 1) for rows in slabs[:-1])
+        for m in (8, 24, 49, 50, 96, 144, 2048):
+            for arrays in (1, 3, 5, 8):
+                _check_slabs(dim, m, arrays, g.slabs(m, arrays))
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -182,6 +194,9 @@ def test_slab_and_roundtrip_properties(data):
     assert np.array_equal(g.sample(c, m, rows), g.sample(c, m)[:, rows])
     back = g.analyze(g.sample(c, modes))
     assert np.abs(back - c).max() <= 1e-13 * np.abs(c).max()
+    m_slab = data.draw(st.integers(2, 2048), label="m_slab")
+    arrays = data.draw(st.integers(1, 8), label="arrays")
+    _check_slabs(dim, m_slab, arrays, g.slabs(m_slab, arrays))
 
 
 def test_sample_peak_memory_is_the_output_and_one_half_layout():
@@ -226,6 +241,41 @@ def test_record_is_the_unpruned_record(monkeypatch):
     want = compute_record(u, b, cfg)
     assert got == want
     assert {"L2.4_grad_b", "L3_dpi4", "gradu_LN", "gradb_LN"} <= set(got)
+
+
+def test_monitor_record_streams_in_two_slabs(monkeypatch):
+    # the monitor's dim-4 M = 16 record (T1.4 smallness, T1.5, bootstrap)
+    # keeps three sums open, so its 32^4 points stream in 2 slabs: the traced
+    # peak stays under 24 MiB (40.8 as one slab), and the norms are the
+    # one-slab norms but for the order their slab quadratures are added in
+    import tracemalloc
+
+    g = make_grid(4, 16)
+    u = synth_random_divfree(g, 4, 7)
+    b = synth_random_divfree(g, 4, 107, amplitude=0.5)
+    cfg = SimConfig(
+        dim=4,
+        modes_per_axis=16,
+        criteria=(
+            CriterionSpec(Theorem.T1_4, smallness=True),
+            CriterionSpec(Theorem.T1_5, pairs=(("dpi3", (3, 2)), ("dpi4", (3, 2)))),
+        ),
+        monitor_bootstrap=True,
+    )
+    tracemalloc.start()
+    try:
+        got = compute_record(u, b, cfg)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20, peak / 2**20
+    monkeypatch.setattr(Grid, "slabs", lambda self, m, arrays: [slice(0, m)])
+    whole = compute_record(u, b, cfg)
+    assert got.keys() == whole.keys()
+    exact = {"energy", "W", "X", "Y", "Z"}
+    assert {k: got[k] for k in exact} == {k: whole[k] for k in exact}
+    for col in got.keys() - exact:
+        assert got[col] == pytest.approx(whole[col], rel=1e-14, abs=0), col
 
 
 def test_quadrature_parseval(grid2):

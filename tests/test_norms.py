@@ -68,11 +68,12 @@ def test_lp_norms_serve_a_repeated_exponent_once(grid2):
 
 
 def test_lp_norms_stream_a_large_grid_in_slabs():
-    # 144^3 points are three slabs: the sup is the full-grid max exactly, the
-    # quadrature adds the slabs' sums, and memory stays a few slabs deep
+    # 144^3 points are three slabs for the pass's 3 arrays (one sum, one
+    # part's samples, its half layout): the sup is the full-grid max exactly,
+    # the quadrature adds the slabs' sums, and memory stays a few slabs deep
     g = make_grid(3, 72)
     m = g.eval_modes
-    slabs = g.slabs(m)
+    slabs = g.slabs(m, 3)
     assert len(slabs) == 3
     f = synth_random_field(g, 3, seed=72)
     parts = [("f", None, c) for c in range(3)]

@@ -333,10 +333,11 @@ def test_dissipative_identity_exact_cases(grid2):
 
 
 def test_dissipative_identity_streams_its_2048_grid():
-    # pad 256 on the 2-torus: 2048^2 points in four slabs, whose quadratures
-    # add up to both sides as quadratured over the whole grid at once
+    # pad 256 on the 2-torus: 2048^2 points in six slabs for the identity's 5
+    # arrays, whose quadratures add up to both sides as quadratured over the
+    # whole grid at once
     f = synth_random_field(make_grid(2, 8), 1, 7, decay=4.0)
-    assert len(f.grid.slabs(2048)) == 4
+    assert len(f.grid.slabs(2048, 5)) == 6
     tracemalloc.start()
     try:
         rep = check_dissipative_identity(f, 3.0, m_quad=2048)
