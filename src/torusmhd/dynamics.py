@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .criteria import PRESSURE_TAGS, SPLIT_TAGS, CriterionSpec, bootstrap_columns, monitored_norms
-from .field import SpectralField, check_divfree, _leray_raw
+from .field import SpectralField, check_divfree, _leray_raw, synth_random_divfree
 from .grid import Grid, make_grid
 from .norms import accumulate, energy, lp_norm, wxyz
 
@@ -513,8 +513,6 @@ def single_mode_state(
 
 
 def initial_state(config: SimConfig, grid: Grid | None = None) -> MhdState:
-    from .field import synth_random_divfree
-
     g = grid or config.make_grid()
     ic = config.initial
     if ic.preset == "zero":
@@ -524,14 +522,13 @@ def initial_state(config: SimConfig, grid: Grid | None = None) -> MhdState:
         return taylor_green_state(g, config.nu, config.eta, ic.amplitude)
     if ic.preset == "single_mode":
         return single_mode_state(g, config.nu, config.eta, ic.amplitude)
-    if ic.preset == "random_divfree":
-        u = synth_random_divfree(g, g.dim, ic.seed, ic.decay, ic.amplitude)
-        if ic.b_amplitude > 0:
-            b = synth_random_divfree(g, g.dim, ic.seed + 1, ic.decay, ic.b_amplitude)
-        else:
-            b = SpectralField.zeros(g, g.dim)
-        return MhdState(u, b, 0.0, config.nu, config.eta)
-    raise ValueError(f"unknown preset '{ic.preset}'")
+    # "random_divfree", the last of InitialCondition's presets
+    u = synth_random_divfree(g, g.dim, ic.seed, ic.decay, ic.amplitude)
+    if ic.b_amplitude > 0:
+        b = synth_random_divfree(g, g.dim, ic.seed + 1, ic.decay, ic.b_amplitude)
+    else:
+        b = SpectralField.zeros(g, g.dim)
+    return MhdState(u, b, 0.0, config.nu, config.eta)
 
 
 def compute_record(

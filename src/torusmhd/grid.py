@@ -84,8 +84,8 @@ class Grid:
 
     dim: int
     modes_per_axis: int
-    side_length: float = TWO_PI
-    band_limit: int = 0
+    side_length: float
+    band_limit: int
 
     def __post_init__(self):
         if self.dim < 1:
@@ -96,8 +96,6 @@ class Grid:
             )
         if not (self.side_length > 0):
             raise ValueError(f"side_length must be positive, got {self.side_length}")
-        if self.band_limit == 0:
-            object.__setattr__(self, "band_limit", self.modes_per_axis // 3)
         if self.band_limit < 1:
             raise ValueError(f"band_limit must be >= 1, got {self.band_limit}")
         if 2 * self.band_limit + 1 > self.modes_per_axis:

@@ -170,7 +170,9 @@ def wxyz(u: SpectralField, b: SpectralField, plane: tuple[int, int] = (0, 1)) ->
     for f in (u, b):
         power = np.abs(f.coeffs) ** 2
         for i, weight in enumerate((k2_plane, k2, k2_plane * k2, k2 * k2)):
-            vals[i] += g.parseval_sum(weight * power)
+            # a zero weight leaves 0.0, not 0 * an overflowed inf = nan
+            density = np.multiply(weight, power, out=np.zeros_like(power), where=weight > 0)
+            vals[i] += g.parseval_sum(density)
     return WXYZ(*vals)
 
 

@@ -34,7 +34,7 @@ from .field import (
     synth_random_field,
     rescale_field,
 )
-from .norms import energy, l2_norm, lp_norm
+from .norms import energy, l2_norm, lp_norm, lp_norms
 from .dynamics import (
     MhdState,
     SimConfig,
@@ -398,7 +398,7 @@ def band_pair(grid: Grid, seed: int) -> tuple[SpectralField, SpectralField]:
     grids; any drift in an exactly-computed functional would expose a
     layout bug.
     """
-    ref = Grid(grid.dim, 16, grid.side_length)
+    ref = make_grid(grid.dim, 16, grid.side_length)
     f0 = synth_random_field(ref, 1, seed, decay=4.0)
     g0 = synth_random_field(ref, 1, seed + 10_000, decay=4.0)
     if grid.band_limit < ref.band_limit:
@@ -506,13 +506,11 @@ class _PlaneWorkspace:
             return np.sqrt((self.values(f)[comps] ** 2).sum(axis=0))
         if order == 1:
             return np.sqrt((self.grad(f)[axes, comps] ** 2).sum(axis=(0, 1)))
-        # one component's Hessian at a time, d_0 d_1 = d_1 d_0 sampled once;
-        # its diagonals are kept as f's plane Laplacian
+        # one component's Hessian at a time, d_0 d_1 = d_1 d_0 sampled once
         sq = 0.0
         for j in range(4):
             h = {(a, k): self._second(f, j, ((a, k),)) for a, k in _HESSIAN_ENTRIES}
             sq = sq + sum(h[max(a, k), min(a, k)] ** 2 for a in range(4) for k in range(2))
-            self._cache[f, j, ((0, 0), (1, 1))] = h[0, 0] + h[1, 1]
         return np.sqrt(sq)
 
     @functools.cached_property
@@ -605,9 +603,7 @@ def _identity_22_report(w: _PlaneWorkspace) -> VerificationReport:
 
 
 def _bound_values(w: _PlaneWorkspace, which: str) -> tuple[float, float]:
-    """The in-plane pairing and the majorant of bound 20 or 21.  The
-    majorant is made first: bound 20's Hessians hold the plane Laplacians
-    that the pairing then reads."""
+    """The in-plane pairing and the majorant of bound 20 or 21."""
     grad_u, grad_b = w.norm("u", 1), w.norm("b", 1)
     if which == "bound_20":
         g2u, g2b = w.norm("u", 2), w.norm("b", 2)
@@ -760,6 +756,28 @@ def nonlinear_split_ensemble(n: int, seed: int = 9) -> VerificationReport:
 # -- dissipative lower-bound identity -----------------------------------------
 
 
+def _slab_integrals(u: SpectralField, p: float, m: int, g_hat: np.ndarray) -> tuple[float, float]:
+    """(int g |u|^{p-2} u, int |u|^{p-2} |grad u|^2) on m points for a scalar u
+    and the scalar g of band coefficients ``g_hat``, streamed slab by slab
+    (``Grid.slabs``): |u|^{p-2} is made once per slab and the slab
+    quadratures are added in slab order.  A slab holds at most five arrays
+    for the first (u, g, |u|^{p-2} and two products) and dim + 3 for the
+    second (|u|^{p-2}, dim gradient rows, one derivative and its half layout).
+    """
+    grid = u.grid
+    g_slabs, grad_slabs = [], []
+    for rows in grid.slabs(m, max(5, grid.dim + 3)):
+        us = sample_part(u, 0, m_eval=m, rows=rows)
+        g_samples = grid.sample(g_hat, m, rows)[0]
+        weight = np.abs(us) ** (p - 2.0)
+        g_slabs.append(grid.quadrature(g_samples * weight * us))
+        del us, g_samples  # freed before the gradient is sampled
+        grads = _samples(u, m, range(grid.dim), rows)[:, 0]
+        grad_slabs.append(grid.quadrature(weight * np.square(grads, out=grads).sum(axis=0)))
+        del grads, weight
+    return sum(g_slabs), sum(grad_slabs)
+
+
 def check_dissipative_identity(
     u_comp: SpectralField, p: float, m_quad: int | None = None
 ) -> VerificationReport:
@@ -771,11 +789,7 @@ def check_dissipative_identity(
     are degree-p polynomials, exact on ``alias_free_modes(p, 0)``.  Other
     powers are not band-limited and integrate approximately on ``m_quad``
     points (default ``eval_modes``); the residual tightens under refinement.
-    Both sides stream the grid slab by slab (``Grid.slabs``), |u|^{p-2} made
-    once per slab, and add the slab quadratures in slab order.  A slab holds
-    at most five slab-sized arrays on the left side (u, Delta u, |u|^{p-2}
-    and two products) and dim + 3 on the right (|u|^{p-2}, the gradient's
-    dim rows, one derivative's samples and their half layout).
+    Both sides stream the grid in slabs (:func:`_slab_integrals`, g = Delta u).
     """
     if p <= 1:
         raise ValueError(f"the identity needs p > 1, got {p}")
@@ -784,18 +798,8 @@ def check_dissipative_identity(
     g = u_comp.grid
     exact = p in (2.0, 4.0)
     m = g.alias_free_modes(int(p), 0) if exact else (m_quad or g.eval_modes)
-    lhs_slabs, rhs_slabs = [], []
-    for rows in g.slabs(m, max(5, g.dim + 3)):
-        us = sample_part(u_comp, 0, m_eval=m, rows=rows)
-        lap = g.sample(-g.k_squared[None] * u_comp.coeffs, m, rows)[0]
-        weight = np.abs(us) ** (p - 2.0)
-        lhs_slabs.append(g.quadrature(lap * weight * us))
-        del us, lap  # freed before the gradient is sampled
-        grads = _samples(u_comp, m, range(g.dim), rows)[:, 0]
-        rhs_slabs.append(g.quadrature(weight * np.square(grads, out=grads).sum(axis=0)))
-        del grads, weight
-    lhs = -sum(lhs_slabs)
-    rhs = (p - 1.0) * sum(rhs_slabs)
+    lap_side, grad_side = _slab_integrals(u_comp, p, m, -g.k_squared[None] * u_comp.coeffs)
+    lhs, rhs = -lap_side, (p - 1.0) * grad_side
     threshold = 1e-11 if exact else 1e-6
     return VerificationReport(
         f"dissipative_identity_p{p:g}",
@@ -932,21 +936,16 @@ def _require_balance_exponents(p: float, q: float) -> None:
 def _balance_terms(
     u: SpectralField, pi: SpectralField, component: int, p: float, q: float, nu: float
 ) -> tuple[float, float, float, float]:
+    """||u_i||_p^p, the dissipation, the pressure term and its Holder majorant
+    ||d_i pi||_q ||u_i||_{(p-1)q'}^{p-1}: one L^p pass and one slab pass."""
     g = u.grid
-    m = g.eval_modes
-    us = sample_part(u, component, m_eval=m)
-    absu = np.abs(us)
-    lp_pow = float(g.quadrature(absu**p))
-    grads = _samples(u.component(component), m, range(g.dim))[:, 0]
-    diss = nu * (p - 1.0) * float(g.quadrature(absu ** (p - 2.0) * (grads**2).sum(axis=0)))
-    dpi = sample_part(pi, 0, component, m)
-    press = -float(g.quadrature(dpi * absu ** (p - 2.0) * us))
-    # the Holder majorant ||d_i pi||_q ||u_i||_{(p-1)q'}^{p-1}, from the same samples
     pq = (p - 1.0) * (q / (q - 1.0))
-    dpi_q = g.quadrature(np.abs(dpi) ** q) ** (1.0 / q)
-    u_pq = g.quadrature(absu**pq) ** (1.0 / pq)
-    majorant = dpi_q * u_pq ** (p - 1.0)
-    return lp_pow, diss, press, majorant
+    request = {"u": ([("u", None, component)], (p, pq)), "dpi": ([("pi", component, 0)], (q,))}
+    norms = lp_norms({"u": u, "pi": pi}, request)
+    dpi_hat = pi.coeffs * (1j * g.wave_axes[component])
+    pressure, grad_side = _slab_integrals(u.component(component), p, g.eval_modes, dpi_hat)
+    majorant = norms["dpi", q] * norms["u", pq] ** (p - 1.0)
+    return norms["u", p] ** p, nu * (p - 1.0) * grad_side, -pressure, majorant
 
 
 def balance_run_config(t_end: float = 0.15, modes_per_axis: int = 16) -> SimConfig:

@@ -38,6 +38,11 @@ def test_raw_grid_allows_debug_bands():
         Grid(2, 16, 2 * np.pi, -1)
     with pytest.raises(ValueError, match="does not fit"):
         Grid(2, 16, 2 * np.pi, 8)
+    # no sentinel band: make_grid is the one place that picks K = M // 3
+    with pytest.raises(ValueError, match="band_limit"):
+        Grid(2, 16, 2 * np.pi, 0)
+    with pytest.raises(TypeError):
+        Grid(2, 16)
 
 
 def test_wavenumbers_layout(grid2):

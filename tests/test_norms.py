@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusmhd.field import SpectralField, partial_derivative, sample_part, synth_random_field
+from torusmhd.field import (
+    SpectralField,
+    partial_derivative,
+    sample_part,
+    synth_random_divfree,
+    synth_random_field,
+)
 from torusmhd.grid import make_grid
 from torusmhd.norms import (
     accumulate,
@@ -141,6 +147,29 @@ def test_wxyz_single_mode_closed_form():
     assert vals.X == pytest.approx(e * 1.0, rel=1e-12)  # |k|^2 = 1
     assert vals.W == pytest.approx(e * 1.0, rel=1e-12)  # k lies in the plane
     assert vals.Z == pytest.approx(e * 1.0, rel=1e-12)
+
+
+def test_wxyz_overflow_reads_inf_not_nan():
+    # |c|^2 overflows to inf; the modes a functional weighs by zero (the
+    # mean, and the free axes for W) must add 0.0, not 0 * inf = nan
+    g = make_grid(4, 12)
+    zero = SpectralField.zeros(g, 4)
+    for seed in (3, 4):
+        u = synth_random_divfree(g, 4, seed, amplitude=1e200)
+        with np.errstate(over="ignore", invalid="raise"):
+            vals = wxyz(u, zero)
+        assert vals == (math.inf,) * 4, (seed, vals)
+    # a finite state keeps the product's bits: each functional is the
+    # weighted Parseval sum, zero-weight modes included as 0.0
+    u = synth_random_divfree(g, 4, 3)
+    b = synth_random_divfree(g, 4, 4, amplitude=0.6)
+    k2p = g.wave_axes[0] ** 2 + g.wave_axes[1] ** 2
+    k2 = g.k_squared
+    want = [
+        sum(g.parseval_sum(w * np.abs(f.coeffs) ** 2) for f in (u, b))
+        for w in (k2p, k2, k2p * k2, k2 * k2)
+    ]
+    assert list(wxyz(u, b)) == want
 
 
 def test_accumulate_trapezoid_matches_closed_form():

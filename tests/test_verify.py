@@ -5,13 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torusmhd.dynamics import InitialCondition, taylor_green_state
-from torusmhd.field import SpectralField, synth_random_divfree, synth_random_field
+from torusmhd.dynamics import InitialCondition, initial_state, pressure_solve, taylor_green_state
+from torusmhd.field import SpectralField, sample_part, synth_random_divfree, synth_random_field
 from torusmhd.grid import Grid, make_grid
 from torusmhd.norms import l2_norm
 from torusmhd.verify import (
     LpBalanceData,
     VerificationReport,
+    _balance_terms,
     balance_run_config,
     band_pair,
     check_commutator,
@@ -184,6 +185,15 @@ def test_prop31_bounds(grid4):
         assert rep.samples[0] < 1.0
 
 
+def test_prop31_bounds_share_one_pairing(grid4):
+    # both bounds read the same in-plane pairing, whichever majorant is made
+    for seed in (1, 2, 3):
+        u = synth_random_divfree(grid4, 4, seed=seed)
+        b = synth_random_divfree(grid4, 4, seed=seed + 1, amplitude=0.7)
+        lhs = [check_prop31(u, b, mode).details[0]["lhs"] for mode in ("bound_20", "bound_21")]
+        assert lhs[0] == lhs[1], (seed, [x.hex() for x in lhs])
+
+
 def test_prop31_degenerate_flow_zeroes_the_ratio(grid4):
     # planar vortex: both free components vanish, majorant and pairing with it
     st = taylor_green_state(grid4)
@@ -264,16 +274,16 @@ def test_prop31_pinned_on_grid4(grid4, sample_calls):
     assert controls["aliased"] == pytest.approx(0.02632904099048115, rel=1e-12)
     # values of u and b, 16 first derivatives each, and each second
     # derivative at most once: identity 22 samples b's derivatives for the
-    # gauge only, a zero b is not sampled, and bound 20 reads the plane
-    # Laplacians from its Hessians, whose entries d_0 d_1 = d_1 d_0 it
-    # samples once (7 axis pairs of 4 components per field)
+    # gauge only, a zero b is not sampled, and bound 20 samples its
+    # Hessians' entries, d_0 d_1 = d_1 d_0 once (7 axis pairs of 4
+    # components per field), apart from the pairing's plane Laplacians
     assert counts == {
         "identity_22": 4 + 16 + 4 + 4 + 16,
         "identity_22_no_b": 4 + 16 + 4 + 4,
         "identity_30_line1": 2 * (4 + 16 + 4),
         "identity_30_line1_no_b": 16,
         "nonlinear_split": 4 + 16 + 4,
-        "bound_20": 2 * (4 + 16 + 28),
+        "bound_20": 2 * (4 + 16 + 28 + 4),
         "bound_21": 2 * (4 + 16 + 4),
         "divfree_control": 4 + 16 + 4 + 4,
         "aliased_control": 4 + 16 + 4 + 4,
@@ -433,6 +443,42 @@ def test_lp_balance_holds_along_a_short_run():
     report = check_lp_pressure_balance(data)
     assert report.passed, max(report.samples)
     assert all(d["dominated"] for d in report.details)
+
+
+def full_grid_balance_terms(u, pi, component, p, q, nu):
+    """The four balance terms as full-grid quadratures on eval_modes."""
+    g = u.grid
+    m = g.eval_modes
+    us = sample_part(u, component, m_eval=m)
+    absu = np.abs(us)
+    lp_pow = float(g.quadrature(absu**p))
+    grads = np.stack([sample_part(u, component, a, m) for a in range(g.dim)])
+    diss = nu * (p - 1.0) * float(g.quadrature(absu ** (p - 2.0) * (grads**2).sum(axis=0)))
+    dpi = sample_part(pi, 0, component, m)
+    press = -float(g.quadrature(dpi * absu ** (p - 2.0) * us))
+    pq = (p - 1.0) * (q / (q - 1.0))
+    dpi_q = g.quadrature(np.abs(dpi) ** q) ** (1.0 / q)
+    u_pq = g.quadrature(absu**pq) ** (1.0 / pq)
+    return lp_pow, diss, press, dpi_q * u_pq ** (p - 1.0)
+
+
+def test_balance_terms_match_full_grid_quadratures():
+    # the balance run's initial state at M = 16: one L^p pass and one slab
+    # pass give the full-grid terms, in a fraction of their memory
+    cfg = balance_run_config()
+    st = initial_state(cfg)
+    pi = pressure_solve(st.u, st.b)
+    args = (st.u, pi, 2, 6.5, 2.0, cfg.nu)
+    want = full_grid_balance_terms(*args)
+    tracemalloc.start()
+    try:
+        got = _balance_terms(*args)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    for name, a, b in zip(("lp_power", "dissipation", "pressure", "majorant"), got, want):
+        assert a == pytest.approx(b, rel=1e-13), name
+    assert peak <= 40 * 2**20, peak / 2**20
 
 
 # ------------------------------------------------------------------- suites
