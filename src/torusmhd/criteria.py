@@ -1,9 +1,9 @@
 """Regularity-criterion bookkeeping: admissible exponent regions, monitored
-quantities, the Gronwall right-hand-side functionals, the name of every
-norm and accumulator column of a record, each in one (norm column, quantity,
-p, accumulator column, r) of :attr:`CriterionSpec.columns` or
-:func:`bootstrap_columns`, and each criterion's verdict on a run, read from
-the last row of its table by :func:`verdicts`.
+quantities, the name of every norm and accumulator column of a record, each
+in one (norm column, quantity, p, accumulator column, r) of
+:attr:`CriterionSpec.columns` or :func:`bootstrap_columns`, and what each
+criterion reads from one row of its run's table: its verdict
+(:func:`verdicts`) and its Gronwall right-hand side (:func:`gronwall_rhs`).
 
 Admissibility is decided in exact rational arithmetic on the binary values
 of the inputs, so boundary pairs land on the correct side deterministically.
@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .field import SpectralField, partial_derivative
-from .norms import lp_norms, wxyz
+from .norms import lp_norms
 
 __all__ = [
     "Theorem",
@@ -51,23 +51,24 @@ class Theorem(Enum):
     CLASSICAL_GRADPI = "CLASSICAL_GRADPI"
 
 
-# canonical monitored quantities, in column order
-_COMPONENTS = {
-    Theorem.T1_1: ("u3", "u4"),
-    Theorem.T1_2: ("grad_u3", "grad_u4"),
-    Theorem.T1_3: ("u3", "u4", "b"),
-    Theorem.T1_4: ("grad_u3", "grad_u4", "grad_b"),
-    Theorem.T1_5: ("dpi3", "dpi4"),
-    Theorem.CLASSICAL_U: ("u",),
-    Theorem.CLASSICAL_GRADU: ("grad_u",),
-    Theorem.CLASSICAL_GRADPI: ("grad_pi",),
+# each theorem's monitored quantities, in column order, and its family: two
+# velocity components (and b), their gradients, two pressure partials, or the
+# whole field of a classical criterion
+_THEOREMS = {
+    Theorem.T1_1: (("u3", "u4"), "velocity"),
+    Theorem.T1_2: (("grad_u3", "grad_u4"), "gradient"),
+    Theorem.T1_3: (("u3", "u4", "b"), "velocity"),
+    Theorem.T1_4: (("grad_u3", "grad_u4", "grad_b"), "gradient"),
+    Theorem.T1_5: (("dpi3", "dpi4"), "pressure"),
+    Theorem.CLASSICAL_U: (("u",), "classical"),
+    Theorem.CLASSICAL_GRADU: (("grad_u",), "classical"),
+    Theorem.CLASSICAL_GRADPI: (("grad_pi",), "classical"),
 }
-
+# the scaling endpoint of each family with a Gronwall functional: the open
+# lower bound of p, reached only by the smallness clause
+_ENDPOINTS = {"velocity": Fraction(6), "gradient": Fraction(12, 5)}
 SMALLNESS_ENDPOINTS = {
-    Theorem.T1_1: Fraction(6),
-    Theorem.T1_3: Fraction(6),
-    Theorem.T1_2: Fraction(12, 5),
-    Theorem.T1_4: Fraction(12, 5),
+    t: _ENDPOINTS[family] for t, (_q, family) in _THEOREMS.items() if family in _ENDPOINTS
 }
 
 # each monitored quantity as its parts (field, derivative axis, component):
@@ -82,9 +83,6 @@ _PARTS = {
 PRESSURE_TAGS = frozenset(t for t, (f, _a, _c) in _PARTS.items() if f == "pi")
 # the quantities that need the two-component split of dim 4
 SPLIT_TAGS = frozenset(t for t, (_f, a, c) in _PARTS.items() if {a, c} & {"3", "4"})
-_CLASSICAL = frozenset(
-    {Theorem.CLASSICAL_U, Theorem.CLASSICAL_GRADU, Theorem.CLASSICAL_GRADPI}
-)
 
 
 def _as_frac(x) -> Fraction | float:
@@ -104,6 +102,9 @@ def admissible(theorem: Theorem, p, r, dim: int = 4) -> bool:
     ``dim`` enters only the classical (dimension-generic) criteria.  Values
     are compared exactly as rationals, including the open/closed endpoints.
     """
+    if theorem not in _THEOREMS:
+        raise ValueError(f"unknown theorem {theorem}")
+    family = _THEOREMS[theorem][1]
     pf, rf = _as_frac(p), _as_frac(r)
     if pf != math.inf and pf < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
@@ -112,24 +113,20 @@ def admissible(theorem: Theorem, p, r, dim: int = 4) -> bool:
     ip, ir = _inv(pf), _inv(rf)
     scal = 4 * ip + 2 * ir
 
-    if theorem in (Theorem.T1_1, Theorem.T1_3):
-        return pf > 6 and scal <= ip + Fraction(1, 2)
-    if theorem in (Theorem.T1_2, Theorem.T1_4):
-        if Fraction(12, 5) < pf <= 4:
-            return scal <= Fraction(5, 4) + ip
-        if pf > 4:
-            return scal <= 1 + 2 * ip
+    if family in _ENDPOINTS and pf <= _ENDPOINTS[family]:
         return False
-    if theorem is Theorem.T1_5:
+    if family == "velocity":
+        return scal <= ip + Fraction(1, 2)
+    if family == "gradient":
+        return scal <= (Fraction(5, 4) + ip if pf <= 4 else 1 + 2 * ip)
+    if family == "pressure":
         return Fraction(12, 7) < pf < 6 and scal < Fraction(8, 3)
     if theorem is Theorem.CLASSICAL_U:
         return pf > dim and dim * ip + 2 * ir <= 1
     if theorem is Theorem.CLASSICAL_GRADU:
         r_cap = Fraction(2) if dim <= 2 else min(Fraction(2), Fraction(dim, dim - 2))
         return dim * ip + 2 * ir == 2 and 1 < rf <= r_cap
-    if theorem is Theorem.CLASSICAL_GRADPI:
-        return pf >= Fraction(dim, 3) and dim * ip + 2 * ir <= 3
-    raise ValueError(f"unknown theorem {theorem}")
+    return pf >= Fraction(dim, 3) and dim * ip + 2 * ir <= 3  # CLASSICAL_GRADPI
 
 
 def p_label(p) -> str:
@@ -153,7 +150,7 @@ class CriterionSpec:
     smallness: bool = False
 
     def __post_init__(self):
-        comps = _COMPONENTS[self.theorem]
+        comps = _THEOREMS[self.theorem][0]
         if self.smallness:
             if self.theorem not in SMALLNESS_ENDPOINTS:
                 raise ValueError(
@@ -178,7 +175,7 @@ class CriterionSpec:
 
     @property
     def classical(self) -> bool:
-        return self.theorem in _CLASSICAL
+        return _THEOREMS[self.theorem][1] == "classical"
 
     def check_admissible(self, dim: int) -> None:
         """Raise unless every pair lies in the theorem's region in ``dim``."""
@@ -308,51 +305,26 @@ def _gradient_exponents(p: float) -> tuple[float, float, float]:
     return p / (p - 2), 1.0, 0.0
 
 
-def gronwall_rhs(
-    u: SpectralField,
-    b: SpectralField,
-    spec: CriterionSpec,
-    free_axes: tuple[int, int] = (2, 3),
-) -> dict[str, float]:
-    """Instantaneous Gronwall data for a criterion at one state.
+def gronwall_rhs(row: Mapping[str, float], spec: CriterionSpec) -> dict[str, float]:
+    """The Gronwall right-hand side of a criterion at the state of ``row`` (a
+    table row by column): ||q||_p^a X^b Z^c for each monitored quantity q, by
+    ``rhs_{label}_{q}``, with the norm and the functionals X, Z of the
+    anisotropic plane read from the row.  A finite term past the float range
+    reads inf.
 
-    Returns the anisotropic functionals W, X, Y, Z together with one RHS
-    integrand value per monitored quantity.  Only the four component
-    criteria carry a proposition-level functional; the pressure criterion
-    and the classical monitors are rejected.
+    Only the velocity and gradient families carry such a functional; the
+    pressure criterion and the classical monitors are rejected.
     """
-    if spec.theorem in (Theorem.T1_1, Theorem.T1_3):
-        expo = _velocity_exponents
-        lo = Fraction(6)
-    elif spec.theorem in (Theorem.T1_2, Theorem.T1_4):
-        expo = _gradient_exponents
-        lo = Fraction(12, 5)
-    else:
-        raise ValueError(
-            f"no Gronwall functional is defined for {spec.theorem.value}"
-        )
-    g = u.grid
-    if g.dim != 4:
-        raise ValueError("Gronwall functionals are defined on dim-4 grids")
-    plane = tuple(a for a in range(4) if a not in free_axes)
-    vals = wxyz(u, b, plane=plane)
-    out = {"W": vals.W, "X": vals.X, "Y": vals.Y, "Z": vals.Z}
-    for _norm, comp, p, _acc, _r in spec.columns:
-        # smallness pairs are pinned to the endpoint by construction; the
-        # float endpoint may sit one ulp off the exact rational
-        if not spec.smallness and _as_frac(p) != math.inf and _as_frac(p) < lo:
-            raise ValueError(
-                f"p={p} for '{comp}' is below the functional's range (>= {lo})"
-            )
-    norms = monitored_norms(
-        {comp: (p,) for _norm, comp, p, _acc, _r in spec.columns}, u, b, free_axes=free_axes
-    )
-    for _norm, comp, p, _acc, _r in spec.columns:
+    family = _THEOREMS[spec.theorem][1]
+    if family not in _ENDPOINTS:
+        raise ValueError(f"no Gronwall functional is defined for {spec.theorem.value}")
+    expo = _velocity_exponents if family == "velocity" else _gradient_exponents
+    out = {}
+    for norm, comp, p, _acc, _r in spec.columns:
         a_n, a_x, a_z = expo(p)
-        term = norms[comp, p] ** a_n
-        if a_x:
-            term *= vals.X**a_x
-        if a_z:
-            term *= vals.Z**a_z
+        try:
+            term = row[norm] ** a_n * row["X"] ** a_x * row["Z"] ** a_z
+        except OverflowError:  # a finite power past the float range
+            term = math.inf
         out[f"rhs_{spec.label}_{comp}"] = term
     return out

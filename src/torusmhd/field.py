@@ -96,9 +96,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
-
     def _check_compatible(self, other: "SpectralField") -> None:
         if other.grid != self.grid or other.components != self.components:
             raise ValueError("fields live on different grids or component counts")

@@ -70,7 +70,7 @@ class Grid:
     Attributes
     ----------
     dim : int
-        Torus dimension.
+        Torus dimension, at least 2.
     modes_per_axis : int
         The FFT size M of every axis, and of the snapshot files' full layout.
     side_length : float
@@ -88,8 +88,8 @@ class Grid:
     band_limit: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        if self.dim < 2:
+            raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.modes_per_axis < 2 or self.modes_per_axis % 2:
             raise ValueError(
                 f"modes_per_axis must be even and >= 2, got {self.modes_per_axis}"
@@ -324,7 +324,7 @@ class Grid:
                 if axis == axes[-1]:
                     x = self._pad(x, m)
         out = sfft.irfft(x, n=m, norm="forward", overwrite_x=True, workers=_FFT_WORKERS)
-        return out[..., rows] if cut else out  # dim 1: no leading axis to cut
+        return out
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
         """Transform real collocation values back to band coefficients, with

@@ -24,7 +24,7 @@ PACKAGE = ROOT / "src" / "torusmhd"
 # public names kept without a caller in the package, each for a reason
 NO_CALLER_YET = {
     "criteria.monitored_field": "perfbench/spans.py times it in TIMED",
-    "criteria.gronwall_rhs": "the plane-gradient balance reports will call it",
+    "criteria.gronwall_rhs": "the plane-gradient balance run will read it from the rows of the criterion it records",
     "dynamics.advective_dt_bound": "run telemetry will report the CFL number from it",
     "io.read_series_csv": "resuming a run will read the series back",
     "io.read_manifest": "resuming a run will read the manifest back",

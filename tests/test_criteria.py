@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from torusmhd import dynamics
 from torusmhd.criteria import (
     PRESSURE_TAGS,
+    SMALLNESS_ENDPOINTS,
     CriterionSpec,
     Theorem,
     admissible,
@@ -116,6 +117,8 @@ def test_admissible_rejects_exponents_below_one():
         admissible(Theorem.T1_1, 8, 0)
     with pytest.raises(ValueError):
         admissible(Theorem.T1_5, -1, 4)
+    with pytest.raises(ValueError, match="unknown theorem"):
+        admissible("T1_6", 8, 16)
 
 
 # each region in cross-multiplied integer form, at p = P/D and r = R/D
@@ -195,6 +198,16 @@ def test_spec_smallness_fills_endpoint_pairs():
         CriterionSpec(Theorem.T1_5, smallness=True)
     with pytest.raises(ValueError):
         CriterionSpec(Theorem.CLASSICAL_U, smallness=True)
+
+
+def test_smallness_endpoints_bound_the_regions():
+    # each endpoint e is the open lower bound of p: (e, inf) lies outside the
+    # region, and (e + 1e-6, inf) inside, in exact rationals
+    assert sorted(t.value for t in SMALLNESS_ENDPOINTS) == ["T1_1", "T1_2", "T1_3", "T1_4"]
+    for theorem, e in SMALLNESS_ENDPOINTS.items():
+        assert not admissible(theorem, e, INF), theorem
+        assert admissible(theorem, e + Fraction(1, 10**6), INF), theorem
+        assert CriterionSpec(theorem, smallness=True).pairs[0][1] == (float(e), INF)
 
 
 def test_spec_requires_exactly_the_monitored_components():
@@ -451,28 +464,39 @@ def test_bootstrap_trigger_sums_gradient_accumulators(monkeypatch):
 # ------------------------------------------------------------- gronwall_rhs
 
 
+def _record(u, b, spec, free_axes=(3, 4)):
+    """The row a run of one criterion records for the state (u, b)."""
+    cfg = SimConfig(dim=4, modes_per_axis=u.grid.modes_per_axis, criteria=(spec,), free_axes=free_axes)
+    return dynamics.compute_record(u, b, cfg)
+
+
 def test_gronwall_rhs_velocity_family(grid4):
     u = synth_random_divfree(grid4, 4, seed=11)
     b = synth_random_divfree(grid4, 4, seed=12)
     spec = CriterionSpec(Theorem.T1_3, pairs=(
         ("u3", (8, 16)), ("u4", (8, 16)), ("b", (8, 16)),
     ))
-    out = gronwall_rhs(u, b, spec)
+    out = gronwall_rhs(_record(u, b, spec), spec)
+    assert sorted(out) == ["rhs_T1_3_b", "rhs_T1_3_u3", "rhs_T1_3_u4"]
     vals = wxyz(u, b, plane=(0, 1))
-    assert out["W"] == vals.W and out["X"] == vals.X
-    assert out["Y"] == vals.Y and out["Z"] == vals.Z
     # exponents at p = 8: norm 2p/(p-2), X (p-4)/(p-2), Z 2/(p-2)
     for comp in ("u3", "u4", "b"):
         n = lp_norm(monitored_field(comp, u, b), 8)
         want = n ** (16 / 6) * vals.X ** (4 / 6) * vals.Z ** (2 / 6)
         assert out[f"rhs_T1_3_{comp}"] == pytest.approx(want, rel=1e-12)
 
+    # p = inf: ||u3||_inf^2 X
+    spec_inf = CriterionSpec(Theorem.T1_1, pairs=(("u3", (INF, 4)), ("u4", (INF, 4))))
+    out = gronwall_rhs(_record(u, b, spec_inf), spec_inf)
+    n = lp_norm(u.component(2), INF)
+    assert out["rhs_T1_1_u3"] == pytest.approx(n**2 * vals.X, rel=1e-12)
+
 
 def test_gronwall_rhs_velocity_endpoint(grid4):
     u = synth_random_divfree(grid4, 4, seed=13)
     zero = SpectralField.zeros(grid4, 4)
     spec = CriterionSpec(Theorem.T1_1, smallness=True)
-    out = gronwall_rhs(u, zero, spec)
+    out = gronwall_rhs(_record(u, zero, spec), spec)
     vals = wxyz(u, zero, plane=(0, 1))
     n3 = lp_norm(u.component(2), 6.0)
     # the pinned endpoint keeps its finite-p exponents (3, 1/2, 1/2)
@@ -485,51 +509,55 @@ def test_gronwall_rhs_gradient_family(grid4):
     zero = SpectralField.zeros(grid4, 4)
     vals = wxyz(u, zero, plane=(0, 1))
 
-    spec4 = CriterionSpec(Theorem.T1_2, pairs=(
-        ("grad_u3", (4, 4)), ("grad_u4", (4, 4)),
-    ))
-    out4 = gronwall_rhs(u, zero, spec4)
-    n = lp_norm(gradient(u.component(2)), 4)
+    def rhs(p, r):
+        spec = CriterionSpec(Theorem.T1_2, pairs=(("grad_u3", (p, r)), ("grad_u4", (p, r))))
+        n = lp_norm(gradient(u.component(2)), p)
+        return gronwall_rhs(_record(u, zero, spec), spec)["rhs_T1_2_grad_u3"], n
+
     # p = 4 sits on the branch seam: exponents (2, 1, 0) from either side
-    assert out4["rhs_T1_2_grad_u3"] == pytest.approx(n**2 * vals.X, rel=1e-12)
-
-    spec3 = CriterionSpec(Theorem.T1_2, pairs=(
-        ("grad_u3", (3, 12)), ("grad_u4", (3, 12)),
-    ))
-    out3 = gronwall_rhs(u, zero, spec3)
-    n = lp_norm(gradient(u.component(2)), 3)
+    out, n = rhs(4, 4)
+    assert out == pytest.approx(n**2 * vals.X, rel=1e-12)
+    out, n = rhs(3, 12)
     want = n ** (12 / 5) * vals.X ** (4 / 5) * vals.Z ** (1 / 5)
-    assert out3["rhs_T1_2_grad_u3"] == pytest.approx(want, rel=1e-12)
-
-    spec6 = CriterionSpec(Theorem.T1_2, pairs=(
-        ("grad_u3", (6, 3)), ("grad_u4", (6, 3)),
-    ))
-    out6 = gronwall_rhs(u, zero, spec6)
-    n = lp_norm(gradient(u.component(2)), 6)
-    assert out6["rhs_T1_2_grad_u3"] == pytest.approx(n**1.5 * vals.X, rel=1e-12)
+    assert out == pytest.approx(want, rel=1e-12)
+    out, n = rhs(6, 3)
+    assert out == pytest.approx(n**1.5 * vals.X, rel=1e-12)
+    # p = inf: ||grad u3||_inf X
+    out, n = rhs(INF, 2)
+    assert out == pytest.approx(n * vals.X, rel=1e-12)
 
 
 def test_gronwall_rhs_respects_free_axes(grid4):
     u = synth_random_divfree(grid4, 4, seed=15)
     zero = SpectralField.zeros(grid4, 4)
     spec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
-    out = gronwall_rhs(u, zero, spec, free_axes=(0, 1))
+    out = gronwall_rhs(_record(u, zero, spec, free_axes=(1, 2)), spec)
     vals = wxyz(u, zero, plane=(2, 3))
     n = lp_norm(u.component(0), 8)
     want = n ** (16 / 6) * vals.X ** (4 / 6) * vals.Z ** (2 / 6)
     assert out["rhs_T1_1_u3"] == pytest.approx(want, rel=1e-12)
 
 
-def test_gronwall_rhs_rejections(grid2, grid4):
-    u4 = synth_random_divfree(grid4, 4, seed=16)
-    zero4 = SpectralField.zeros(grid4, 4)
+def test_gronwall_rhs_rejections():
+    row = {"L2_dpi3": 1.0, "L2_dpi4": 1.0, "L8_u": 1.0, "X": 1.0, "Z": 1.0}
     pspec = CriterionSpec(Theorem.T1_5, pairs=(("dpi3", (2, 4)), ("dpi4", (2, 4))))
     with pytest.raises(ValueError, match="Gronwall"):
-        gronwall_rhs(u4, zero4, pspec)
+        gronwall_rhs(row, pspec)
     cspec = CriterionSpec(Theorem.CLASSICAL_U, pairs=(("u", (8, 4)),))
     with pytest.raises(ValueError, match="Gronwall"):
-        gronwall_rhs(u4, zero4, cspec)
-    u2 = synth_random_divfree(grid2, 2, seed=17)
+        gronwall_rhs(row, cspec)
+    # a row without the plane functionals (a run below dim 4) has no X
     vspec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
-    with pytest.raises(ValueError, match="dim-4"):
-        gronwall_rhs(u2, SpectralField.zeros(grid2, 2), vspec, free_axes=(0, 1))
+    with pytest.raises(KeyError, match="X"):
+        gronwall_rhs({"L8_u3": 1.0, "L8_u4": 1.0}, vspec)
+
+
+def test_gronwall_rhs_reads_only_the_row():
+    spec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (INF, 4)), ("u4", (INF, 4))))
+    row = {"Linf_u3": 3.0, "Linf_u4": 0.5, "X": 2.0, "Z": 7.0}
+    assert gronwall_rhs(row, spec) == {"rhs_T1_1_u3": 18.0, "rhs_T1_1_u4": 0.5}
+    # above p = 4 Z enters as Z^0, which is 1 for a NaN Z too, and a finite
+    # power past the float range reads inf
+    spec8 = CriterionSpec(Theorem.T1_2, pairs=(("grad_u3", (8, 4)), ("grad_u4", (8, 4))))
+    row = {"L8_grad_u3": 1e250, "L8_grad_u4": 2.0, "X": 1.0, "Z": math.nan}
+    assert gronwall_rhs(row, spec8) == {"rhs_T1_2_grad_u3": INF, "rhs_T1_2_grad_u4": 2.0 ** (4 / 3)}

@@ -53,6 +53,12 @@ def test_state_validation(grid2):
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="non-negative"):
             MhdState(u, z, nu=bad)
+    with pytest.raises(ValueError, match="share a grid"):
+        MhdState(u, SpectralField.zeros(make_grid(2, 32), 2))
+    nan = u.coeffs.copy()
+    nan[1, 1, 1] = math.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        MhdState(SpectralField(grid2, nan), z)
     assert not MhdState(u, z).has_b
     assert MhdState(u, u).has_b
 
@@ -125,6 +131,9 @@ def test_pressure_balances_advection(grid2, grid3):
         resid = du.coeffs + adv + gradient(pi).coeffs
         scale = np.max(np.abs(du.coeffs))
         assert np.max(np.abs(resid)) < 1e-12 * scale
+    g4 = make_grid(4, 8)
+    with pytest.raises(ValueError, match="one velocity component per axis"):
+        pressure_solve(SpectralField.zeros(g4, 2), SpectralField.zeros(g4, 4))
 
 
 def test_one_analysis_per_product(grid2, grid3, grid4, monkeypatch):
@@ -238,6 +247,9 @@ def test_advective_dt_bound(grid2):
     st = single_mode_state(grid2, amplitude=2.0)
     kmax = grid2.band_limit  # side 2*pi
     assert advective_dt_bound(st) == pytest.approx(1.5 / (kmax * 2.0), rel=1e-6)
+    # b's sup adds to u's
+    both = MhdState(st.u, st.u)
+    assert advective_dt_bound(both) == pytest.approx(1.5 / (kmax * 4.0), rel=1e-6)
 
 
 # ----------------------------------------------------------- configuration
@@ -262,6 +274,8 @@ def test_sim_config_validation():
         SimConfig(dim=2, record_every=0)
     with pytest.raises(ValueError, match="multiple"):
         SimConfig(dim=2, record_every=3, snapshot_every=4)
+    with pytest.raises(ValueError, match="snapshot_every must be >= 0"):
+        SimConfig(dim=2, snapshot_every=-1)
     spec = CriterionSpec(Theorem.T1_1, pairs=(("u3", (8, 16)), ("u4", (8, 16))))
     with pytest.raises(ValueError, match="duplicate"):
         SimConfig(criteria=(spec, spec))
@@ -327,6 +341,8 @@ def test_simulate_cadence_and_states():
     # energy must not grow
     e = res.series.records["energy"]
     assert all(b <= a * (1 + 1e-12) for a, b in zip(e, e[1:]))
+    with pytest.raises(ValueError, match="does not match the configuration"):
+        simulate(cfg, initial=initial_state(cfg, make_grid(2, 8)))
 
 
 def test_simulate_matches_manual_stepping():
@@ -373,12 +389,19 @@ def test_simulate_matches_manual_stepping():
         assert res.series.records["defect"] == defects
 
 
-@pytest.mark.parametrize("nu", [0.2, 0.0])
+# (nu, eta), named by nu alone where the two are equal
+_DIFFUSIVITIES = ((0.2, 0.2), (0.0, 0.0), (0.0, 0.05), (0.05, 0.0), (0.05, 0.2))
+
+
+@pytest.mark.parametrize(
+    "nu, eta", _DIFFUSIVITIES, ids=[str(n) if n == e else f"{n}-{e}" for n, e in _DIFFUSIVITIES]
+)
 @pytest.mark.parametrize("b_amplitude", [0.5, 0.0])
-def test_simulate_reuses_the_last_stage(monkeypatch, nu, b_amplitude):
+def test_simulate_reuses_the_last_stage(monkeypatch, nu, eta, b_amplitude):
     # each step's first stage is the previous step's ledger endpoint, so a
-    # viscous run evaluates one nonlinearity more than its 4 per step, and an
-    # inviscid run, which needs no endpoint, exactly 4 per step
+    # diffusive run evaluates one nonlinearity more than its 4 per step, and
+    # an ideal run, which needs no endpoint, exactly 4 per step; with a zero
+    # or unequal diffusivity the ledger still closes to rounding
     import torusmhd.dynamics as dyn
 
     calls = []
@@ -388,14 +411,15 @@ def test_simulate_reuses_the_last_stage(monkeypatch, nu, b_amplitude):
         dim=2,
         modes_per_axis=16,
         nu=nu,
-        eta=nu,
+        eta=eta,
         dt=1e-3,
         t_end=0.005,
         initial=InitialCondition(preset="random_divfree", seed=4, b_amplitude=b_amplitude),
     )
-    simulate(cfg)
-    assert len(calls) == 4 * cfg.n_steps + (1 if nu else 0)
+    series = simulate(cfg).series
+    assert len(calls) == 4 * cfg.n_steps + (1 if nu or eta else 0)
     assert set(calls) == {b_amplitude == 0.0}
+    assert max(map(abs, series.records["defect"])) <= 1e-12 * series.records["energy"][0]
 
 
 def test_simulate_ledger_survives_b_decaying_to_zero():

@@ -55,6 +55,8 @@ def test_gradient_and_divergence_consistency(grid3):
     # div grad = laplacian
     lap = -grid3.k_squared[None] * f.coeffs
     assert np.abs(divergence(grads).coeffs - lap).max() < 1e-12
+    with pytest.raises(ValueError, match="one component per axis"):
+        divergence(f)
 
 
 def test_multiplier_symbols(grid2):
@@ -166,3 +168,5 @@ def test_arithmetic_and_compatibility(grid2):
     other = synth_random_field(make_grid(2, 32), 1, seed=30)
     with pytest.raises(ValueError):
         _ = f + other
+    with pytest.raises(ValueError, match="does not match grid"):
+        SpectralField(grid2, np.zeros((1, 3, 3)))

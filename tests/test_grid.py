@@ -43,6 +43,13 @@ def test_raw_grid_allows_debug_bands():
         Grid(2, 16, 2 * np.pi, 0)
     with pytest.raises(TypeError):
         Grid(2, 16)
+    # a line is no torus the package builds
+    with pytest.raises(ValueError, match="dim must be >= 2"):
+        Grid(1, 16, 2 * np.pi, 5)
+    with pytest.raises(ValueError, match="modes_per_axis"):
+        Grid(2, 15, 2 * np.pi, 5)
+    with pytest.raises(ValueError, match="side_length"):
+        Grid(2, 16, 0.0, 5)
 
 
 def test_wavenumbers_layout(grid2):

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torusmhd.criteria import (
-    _CLASSICAL,
-    _COMPONENTS,
+    _THEOREMS,
     SMALLNESS_ENDPOINTS,
     CriterionSpec,
     Theorem,
@@ -379,7 +378,7 @@ _EXPONENTS = (1.0, 1.5, 2.0, 2.4, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 12.0, 16.0, math
 _PAIRS = {
     (theorem, dim): pairs
     for theorem in Theorem
-    for dim in ((2, 3, 4) if theorem in _CLASSICAL else (4,))
+    for dim in ((2, 3, 4) if _THEOREMS[theorem][1] == "classical" else (4,))
     if (pairs := [(p, r) for p in _EXPONENTS for r in _EXPONENTS
                   if admissible(theorem, p, r, dim)])
 }
@@ -396,7 +395,7 @@ def sim_configs(draw):
             specs.append(CriterionSpec(theorem, smallness=True))
         elif (theorem, dim) in _PAIRS:
             pair = st.sampled_from(_PAIRS[theorem, dim])
-            pairs = tuple((c, draw(pair)) for c in _COMPONENTS[theorem])
+            pairs = tuple((c, draw(pair)) for c in _THEOREMS[theorem][0])
             specs.append(CriterionSpec(theorem, pairs))
     dt = draw(st.floats(1e-6, 1.0))
     record_every = draw(st.integers(1, 5))
@@ -554,6 +553,11 @@ def test_config_rejects_unknown_keys():
         ({"initial": {"amplitude": math.nan}}, "amplitude"),
         # 0.15 is one and a half steps of 0.1: refused, not run to 0.1 or 0.2
         ({"dim": 2, "modes_per_axis": 8, "dt": 0.1, "t_end": 0.15}, "whole number of steps"),
+        ({"criteria": [{"theorem": "T1_1", "pairs": {"u3": [8, "16"], "u4": [8, 16]}}]}, "number"),
+        ({"criteria": ["T1_1"]}, r"object at 'criteria\[0\]'"),
+        ({"criteria": [{"theorem": "T1_1", "smallness": "yes"}]}, "boolean"),
+        (["dim", 4], "JSON object"),
+        ({"initial": "zero"}, "'initial' must be an object"),
     ],
 )
 def test_config_rejects_bad_values(doc, msg):
@@ -581,6 +585,8 @@ def test_manifest_inventory(tmp_path):
     )
     tio.write_series_csv(tmp_path / tio.SERIES_NAME, res.series)
     (tmp_path / "notes.txt").write_text("scratch\n")
+    # a subdirectory is no file of the run
+    (tmp_path / "plots").mkdir()
     man = tio.write_manifest(tmp_path, res, started=1.0, finished=2.0)
     again = tio.read_manifest(tmp_path)
     assert again == man

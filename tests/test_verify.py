@@ -295,6 +295,8 @@ def test_nonlinear_split_identity(grid4):
     rep = check_nonlinear_split(u)
     assert rep.passed
     assert rep.max < 1e-10
+    with pytest.raises(ValueError, match="dim 4"):
+        check_nonlinear_split(synth_random_divfree(make_grid(2, 16), 2, seed=4))
 
 
 def test_exact_quadratures_sample_on_the_rule(monkeypatch):
